@@ -14,6 +14,7 @@
 #include "core/accuracy_model.h"
 #include "core/explorer.h"
 #include "core/metrics.h"
+#include "core/pareto_sweep.h"
 #include "pruning/variant_generator.h"
 
 int main(int argc, char** argv) {
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
     costs.push_back(p.cost_usd.value());
     accs.push_back(p.top5);
   }
-  const auto tri = core::ParetoFrontier3(times, costs, accs);
+  const auto tri = core::SweepParetoFrontier3(times, costs, accs);
   std::cout << "tri-objective (time, cost, accuracy) frontier: " << tri.size()
             << " of " << result.feasible.size()
             << " feasible configurations remain efficient\n";

@@ -34,6 +34,10 @@ build/tools/ccperf_calc --list-metrics
 # SDC axis smoke: rank by *delivered* accuracy under silent-corruption
 # policies (off/none/abft/scrub/reexec — cloud/sdc.h).
 build/tools/ccperf_calc --sdc --variants 5 --top 5
+# The top-N stream (--no-filter) and the frontier share one block loop
+# (core StreamBlocks): smoke the stream, and the SDC frontier serially.
+build/tools/ccperf_calc --no-filter --variants 5 --top 5
+build/tools/ccperf_calc --sdc --serial --variants 5 --top 5
 
 echo "== examples =="
 build/examples/quickstart

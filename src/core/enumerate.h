@@ -17,11 +17,14 @@
 //                           economics mirroring EstimateSpotRun, metrics.h
 //                           no-checkpoint restart expectation). Pure
 //                           function of the id: bitwise-reproducible.
-//   EnumerateFrontier     — streamed block-wise evaluation (slot-per-task
-//                           ParallelFor, bitwise-equal to serial) feeding
-//                           the sorted-sweep Pareto filter
-//                           (core/pareto_sweep.h); memory stays
-//                           O(frontier + block), never O(space).
+//   StreamBlocks          — the streamed block loop: each block is priced
+//                           one (variant, type, count, batch) prefix at a
+//                           time, in parallel with one slot per id
+//                           (bitwise-equal to serial).
+//   EnumerateFrontier     — StreamBlocks feeding the sorted-sweep Pareto
+//                           filter (core/pareto_sweep.h), tile by tile in
+//                           parallel; memory stays O(frontier + block),
+//                           never O(space).
 //
 // The evaluator models homogeneous fleets (count × one instance type) — the
 // shape the axis product enumerates; heterogeneous multi-type
@@ -30,7 +33,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -247,15 +252,24 @@ class ArchitectureEvaluator {
   [[nodiscard]] bool Evaluate(std::uint64_t id, std::int64_t images,
                               ArchMetrics& out) const;
 
+  /// Ids per (variant, type, count, batch) prefix: the purchase ×
+  /// checkpoint × degradation × SDC run.
+  [[nodiscard]] std::size_t PrefixRun() const;
+
+  /// Prices the PrefixRun() ids of one prefix (flat ids prefix·run onward)
+  /// with each shared term computed once: the instance time per prefix, an
+  /// on-demand row per SDC entry, the spot terms per checkpoint option.
+  /// rows[k] is bitwise equal to Evaluate(prefix·run + k) and exists[k] is
+  /// its return value (rows[k] untouched when 0). Unchecked, for the sweep
+  /// loop: the caller validated the space, `images` and the prefix, and
+  /// sized both spans to PrefixRun().
+  void EvaluatePrefix(std::uint64_t prefix, std::int64_t images,
+                      std::span<ArchMetrics> rows,
+                      std::span<char> exists) const;
+
   [[nodiscard]] const ArchitectureSpace& Space() const { return space_; }
 
  private:
-  /// Common tail of Evaluate: applies the row's SDC policy (overhead into
-  /// seconds/cost, escapes into delivered accuracy) and writes `out`.
-  bool FinishWithSdc(ArchMetrics& m, const SdcOption& sdc,
-                     const cloud::InstanceType& type, PurchaseOption purchase,
-                     int count, Seconds base_seconds, ArchMetrics& out) const;
-
   const cloud::CloudSimulator& sim_;
   const ArchitectureSpace& space_;
   std::vector<const cloud::InstanceType*> types_;  // space type axis order
@@ -282,9 +296,10 @@ struct FrontierPoint {
   ArchMetrics metrics;
 };
 
-/// Result of a streamed enumeration. `peak_candidates` is the largest
-/// (frontier ∪ block) row count any compaction saw — the engine's memory
-/// high-water mark in rows, gated by bench_ext_enumeration_scale.
+/// Result of a streamed enumeration. `peak_candidates` is the largest row
+/// count any compaction saw: the running frontier plus the tile survivors
+/// of one block. It is the engine's memory high-water mark in rows, gated
+/// by bench_ext_enumeration_scale, and does not depend on the pool size.
 struct EnumerationResult {
   std::vector<FrontierPoint> frontier;  // ascending flat id
   std::uint64_t evaluated = 0;          // ids offered to the evaluator
@@ -292,10 +307,29 @@ struct EnumerationResult {
   std::size_t peak_candidates = 0;
 };
 
+/// One priced block of a streamed sweep: ids [begin, begin + rows.size()).
+/// feasible[i] is 1 when id begin + i has a market and meets the deadline
+/// and budget; rows[i] holds its metrics then, and is stale otherwise.
+struct EvaluatedBlock {
+  std::uint64_t begin = 0;
+  std::span<const ArchMetrics> rows;
+  std::span<const char> feasible;
+};
+
+/// The block loop of every streamed sweep. Validates the space once, then
+/// prices it `options.block` ids at a time, prefix runs in parallel with
+/// one slot per id (bitwise equal to serial), and hands each block to
+/// `consume` in id order. The spans live until `consume` returns. With
+/// `options.serial`, the parallel loops inside `consume` run serially too.
+void StreamBlocks(const ArchitectureEvaluator& evaluator,
+                  const EnumerationOptions& options,
+                  const std::function<void(const EvaluatedBlock&)>& consume);
+
 /// Stream the whole space through the evaluator in blocks, keeping only the
-/// running 3-D frontier (minimize time and cost, maximize accuracy).
-/// Parallel and serial runs are bitwise-identical: each id writes a
-/// preassigned slot and compaction order is the id order.
+/// running 3-D frontier (minimize time and cost, maximize accuracy). Each
+/// block's feasible rows are pre-filtered per fixed-size id tile in
+/// parallel; the tile survivors, in id order, are merged with the running
+/// frontier. Parallel and serial runs are bitwise-identical.
 EnumerationResult EnumerateFrontier(const ArchitectureEvaluator& evaluator,
                                     const EnumerationOptions& options);
 

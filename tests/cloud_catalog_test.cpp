@@ -62,7 +62,7 @@ TEST(Catalog, GpuCoreCountsMatchPaper) {
 
 TEST(Catalog, FindUnknownThrows) {
   const InstanceCatalog catalog = InstanceCatalog::AwsEc2();
-  EXPECT_THROW(catalog.Find("c5.large"), CheckError);
+  EXPECT_THROW((void)catalog.Find("c5.large"), CheckError);
   EXPECT_FALSE(catalog.Contains("c5.large"));
   EXPECT_TRUE(catalog.Contains("p2.xlarge"));
 }
@@ -97,7 +97,7 @@ TEST(GpuSpec, UtilizationMonotoneAndBounded) {
 
 TEST(GpuSpec, UtilizationRejectsZeroBatch) {
   const GpuSpec gpu = InstanceCatalog::AwsEc2().Gpu(GpuKind::kK80);
-  EXPECT_THROW(gpu.Utilization(0), CheckError);
+  EXPECT_THROW((void)gpu.Utilization(0), CheckError);
 }
 
 TEST(Pricing, ProratesToNearestSecond) {

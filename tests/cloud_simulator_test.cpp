@@ -77,7 +77,7 @@ TEST_F(SimulatorTest, SaturationAroundThreeHundred) {
 
 TEST_F(SimulatorTest, BatchCappedByGpuMemory) {
   const InstanceType& p2 = catalog_.Find("p2.xlarge");
-  EXPECT_THROW(sim_.BatchSeconds(p2, unpruned_, 2001), CheckError);
+  EXPECT_THROW((void)sim_.BatchSeconds(p2, unpruned_, 2001), CheckError);
   // InstanceSeconds clamps automatically.
   const double t = sim_.InstanceSeconds(p2, unpruned_, 100000, 9999).value();
   EXPECT_GT(t, 0.0);

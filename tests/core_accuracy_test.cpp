@@ -132,7 +132,7 @@ TEST(AccuracyModel, DamageIsAdditive) {
 
 TEST(AccuracyModel, RejectsInvalidRatio) {
   const auto model = CalibratedAccuracyModel::CaffeNet();
-  EXPECT_THROW(model.Evaluate(Plan({{"conv1", 1.0}})), CheckError);
+  EXPECT_THROW((void)model.Evaluate(Plan({{"conv1", 1.0}})), CheckError);
 }
 
 TEST(AccuracyModel, RejectsBadConstruction) {

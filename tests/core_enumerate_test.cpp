@@ -1,8 +1,9 @@
 // Tests of the architecture-space enumeration engine (core/enumerate.h):
 // encode/decode inverses, metric-registry contracts, evaluator parity with
 // CloudSimulator::Run / EstimateSpotRun / the no-checkpoint restart
-// expectation, streamed-frontier equality with a materialize-everything
-// oracle, block-size invariance, and bitwise parallel-vs-serial equality.
+// expectation, streamed blocks equal to per-id Evaluate, streamed-frontier
+// equality with a materialize-everything oracle, block-size invariance, and
+// bitwise parallel-vs-serial equality.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -60,14 +61,52 @@ ArchitectureSpace SmallSpace(const cloud::ModelProfile& profile,
   return space;
 }
 
+/// AwsEc2 plus "lab.box", a K80 type with no spot market.
+cloud::InstanceCatalog CatalogWithoutSpotType() {
+  const cloud::InstanceCatalog aws = cloud::InstanceCatalog::AwsEc2();
+  std::vector<cloud::InstanceType> types(aws.Types().begin(),
+                                         aws.Types().end());
+  types.push_back({"lab.box", "lab", 8, 1, 64.0, 12.0, UsdPerHour(2.0),
+                   cloud::GpuKind::kK80, UsdPerHour(0.0), RatePerHour(0.01)});
+  return cloud::InstanceCatalog(
+      std::move(types), {aws.Gpu(cloud::GpuKind::kK80),
+                         aws.Gpu(cloud::GpuKind::kM60)});
+}
+
+/// SmallSpace plus the no-spot-market type and an explicit SDC axis.
+ArchitectureSpace SdcSpace(const cloud::ModelProfile& profile,
+                           const CalibratedAccuracyModel& accuracy) {
+  ArchitectureSpace space = SmallSpace(profile, accuracy);
+  space.AddInstanceType("lab.box");
+  space.AddSdcOption({.name = "off", .policy = {}});
+  space.AddSdcOption(
+      {.name = "abft", .policy = {.kind = cloud::SdcPolicyKind::kAbft}});
+  space.AddSdcOption({.name = "reexec",
+                      .policy = {.kind = cloud::SdcPolicyKind::kReexecSample,
+                                 .sample_fraction = 0.1}});
+  return space;
+}
+
 struct Fixture {
-  cloud::InstanceCatalog catalog = cloud::InstanceCatalog::AwsEc2();
+  explicit Fixture(bool sdc_axis = false)
+      : catalog(sdc_axis ? CatalogWithoutSpotType()
+                         : cloud::InstanceCatalog::AwsEc2()),
+        space(sdc_axis ? SdcSpace(profile, accuracy)
+                       : SmallSpace(profile, accuracy)) {}
+
+  cloud::InstanceCatalog catalog;
   cloud::CloudSimulator sim{catalog};
   cloud::ModelProfile profile = cloud::CaffeNetProfile();
   CalibratedAccuracyModel accuracy = CalibratedAccuracyModel::CaffeNet();
-  ArchitectureSpace space = SmallSpace(profile, accuracy);
+  ArchitectureSpace space;
   ArchitectureEvaluator evaluator{sim, space, kRate, kRestart};
 };
+
+/// Ids sharing one (variant, type, count, batch) prefix.
+std::size_t PrefixRun(const ArchitectureSpace& space) {
+  return space.PurchaseOptions().size() * space.CheckpointOptions().size() *
+         space.DegradationOptions().size() * space.SdcOptions().size();
+}
 
 bool BitwiseEqual(const ArchMetrics& a, const ArchMetrics& b) {
   return std::memcmp(&a, &b, sizeof(ArchMetrics)) == 0;
@@ -363,17 +402,24 @@ std::vector<std::uint64_t> OracleFrontier(
 
 TEST(EnumerateFrontierTest, MatchesMaterializedOracle) {
   Fixture f;
-  for (const bool use_top5 : {true, false}) {
-    EnumerationOptions options;
-    options.images = 250'000;
-    options.block = 37;  // force many compaction rounds
-    options.use_top5 = use_top5;
-    const EnumerationResult result = EnumerateFrontier(f.evaluator, options);
-    std::vector<std::uint64_t> got;
-    for (const auto& point : result.frontier) got.push_back(point.id);
-    EXPECT_EQ(got, OracleFrontier(f.evaluator, options)) << use_top5;
-    EXPECT_EQ(result.evaluated, f.space.Size());
-    EXPECT_GE(result.feasible, result.frontier.size());
+  // At rate 0 a spot row without checkpoints costs less than the on-demand
+  // row just before it in the same time.
+  ArchitectureEvaluator no_preemption(f.sim, f.space, RatePerHour(0.0),
+                                      kRestart);
+  for (const ArchitectureEvaluator* evaluator :
+       {&f.evaluator, &no_preemption}) {
+    for (const bool use_top5 : {true, false}) {
+      EnumerationOptions options;
+      options.images = 250'000;
+      options.block = 37;  // force many compaction rounds
+      options.use_top5 = use_top5;
+      const EnumerationResult result = EnumerateFrontier(*evaluator, options);
+      std::vector<std::uint64_t> got;
+      for (const auto& point : result.frontier) got.push_back(point.id);
+      EXPECT_EQ(got, OracleFrontier(*evaluator, options)) << use_top5;
+      EXPECT_EQ(result.evaluated, f.space.Size());
+      EXPECT_GE(result.feasible, result.frontier.size());
+    }
   }
 }
 
@@ -394,48 +440,100 @@ TEST(EnumerateFrontierTest, DeadlineAndBudgetFilter) {
   EXPECT_EQ(got, OracleFrontier(f.evaluator, options));
 }
 
-TEST(EnumerateFrontierTest, BlockSizeInvariant) {
-  Fixture f;
-  EnumerationOptions options;
-  options.images = 250'000;
-  options.block = 1;
-  const EnumerationResult one = EnumerateFrontier(f.evaluator, options);
-  options.block = 97;
-  const EnumerationResult some = EnumerateFrontier(f.evaluator, options);
-  options.block = 1 << 20;  // whole space in one block
-  const EnumerationResult all = EnumerateFrontier(f.evaluator, options);
-  ASSERT_EQ(one.frontier.size(), all.frontier.size());
-  ASSERT_EQ(some.frontier.size(), all.frontier.size());
-  for (std::size_t i = 0; i < all.frontier.size(); ++i) {
-    EXPECT_EQ(one.frontier[i].id, all.frontier[i].id);
-    EXPECT_EQ(some.frontier[i].id, all.frontier[i].id);
-    EXPECT_TRUE(BitwiseEqual(one.frontier[i].metrics, all.frontier[i].metrics));
-    EXPECT_TRUE(
-        BitwiseEqual(some.frontier[i].metrics, all.frontier[i].metrics));
+TEST(StreamBlocksTest, EveryRowEqualsEvaluate) {
+  for (const bool sdc_axis : {false, true}) {
+    SCOPED_TRACE(sdc_axis ? "sdc axis, no-spot type" : "small space");
+    Fixture f(sdc_axis);
+    EnumerationOptions options;
+    options.images = 250'000;
+    options.deadline_s = Seconds(3.0 * 3600.0);
+    options.block = PrefixRun(f.space) + 1;
+    std::uint64_t next = 0;
+    StreamBlocks(f.evaluator, options, [&](const EvaluatedBlock& block) {
+      ASSERT_EQ(block.begin, next);
+      for (std::size_t i = 0; i < block.rows.size(); ++i) {
+        ArchMetrics m;
+        const bool exists = f.evaluator.Evaluate(next + i, options.images, m);
+        ASSERT_EQ(block.feasible[i] != 0,
+                  exists && m.seconds <= options.deadline_s)
+            << next + i;
+        if (exists) EXPECT_TRUE(BitwiseEqual(m, block.rows[i])) << next + i;
+      }
+      next += block.rows.size();
+    });
+    EXPECT_EQ(next, f.space.Size());
   }
-  // Streaming keeps the candidate set near O(frontier + block): with
-  // block=97 the high-water mark is bounded by peak frontier + block.
-  EXPECT_LE(some.peak_candidates, all.peak_candidates + 97);
+}
+
+TEST(EnumerateFrontierTest, BlockSizeInvariant) {
+  for (const bool sdc_axis : {false, true}) {
+    SCOPED_TRACE(sdc_axis ? "sdc axis, no-spot type" : "small space");
+    Fixture f(sdc_axis);
+    const std::size_t inner = PrefixRun(f.space);
+    EnumerationOptions options;
+    options.images = 250'000;
+    options.use_delivered = sdc_axis;
+    options.block = 1 << 20;  // whole space in one block
+    const EnumerationResult all = EnumerateFrontier(f.evaluator, options);
+    if (sdc_axis) EXPECT_LT(all.feasible, all.evaluated);  // lab.box spot
+    // Block sizes that do not align with the prefix run.
+    for (const std::size_t block :
+         {std::size_t{1}, std::size_t{17}, std::size_t{97}, inner - 1,
+          inner + 1, static_cast<std::size_t>(f.space.Size())}) {
+      SCOPED_TRACE(block);
+      options.block = block;
+      const EnumerationResult some = EnumerateFrontier(f.evaluator, options);
+      ASSERT_EQ(some.frontier.size(), all.frontier.size());
+      for (std::size_t i = 0; i < all.frontier.size(); ++i) {
+        EXPECT_EQ(some.frontier[i].id, all.frontier[i].id);
+        EXPECT_TRUE(
+            BitwiseEqual(some.frontier[i].metrics, all.frontier[i].metrics));
+      }
+      EXPECT_EQ(some.evaluated, all.evaluated);
+      EXPECT_EQ(some.feasible, all.feasible);
+      // Streaming keeps the candidate set near O(frontier + block): with
+      // block=97 the high-water mark is bounded by peak frontier + block.
+      if (block == 97) {
+        EXPECT_LE(some.peak_candidates, all.peak_candidates + 97);
+      }
+    }
+    // The prefix-factored sweep prices every row exactly as the public
+    // per-id Evaluate does.
+    for (const auto& point : all.frontier) {
+      ArchMetrics m;
+      ASSERT_TRUE(f.evaluator.Evaluate(point.id, options.images, m));
+      EXPECT_TRUE(BitwiseEqual(m, point.metrics)) << point.id;
+    }
+  }
 }
 
 TEST(EnumerateFrontierTest, ParallelBitwiseEqualsSerial) {
-  Fixture f;
-  EnumerationOptions options;
-  options.images = 250'000;
-  options.block = 64;
-  options.serial = true;
-  const EnumerationResult serial = EnumerateFrontier(f.evaluator, options);
-  options.serial = false;
-  const EnumerationResult parallel = EnumerateFrontier(f.evaluator, options);
-  ASSERT_EQ(serial.frontier.size(), parallel.frontier.size());
-  for (std::size_t i = 0; i < serial.frontier.size(); ++i) {
-    EXPECT_EQ(serial.frontier[i].id, parallel.frontier[i].id);
-    EXPECT_TRUE(BitwiseEqual(serial.frontier[i].metrics,
-                             parallel.frontier[i].metrics));
+  for (const bool sdc_axis : {false, true}) {
+    SCOPED_TRACE(sdc_axis ? "sdc axis, no-spot type" : "small space");
+    Fixture f(sdc_axis);
+    for (const std::size_t block :
+         {std::size_t{64}, static_cast<std::size_t>(f.space.Size())}) {
+      SCOPED_TRACE(block);
+      EnumerationOptions options;
+      options.images = 250'000;
+      options.use_delivered = sdc_axis;
+      options.block = block;
+      options.serial = true;
+      const EnumerationResult serial = EnumerateFrontier(f.evaluator, options);
+      options.serial = false;
+      const EnumerationResult parallel =
+          EnumerateFrontier(f.evaluator, options);
+      ASSERT_EQ(serial.frontier.size(), parallel.frontier.size());
+      for (std::size_t i = 0; i < serial.frontier.size(); ++i) {
+        EXPECT_EQ(serial.frontier[i].id, parallel.frontier[i].id);
+        EXPECT_TRUE(BitwiseEqual(serial.frontier[i].metrics,
+                                 parallel.frontier[i].metrics));
+      }
+      EXPECT_EQ(serial.evaluated, parallel.evaluated);
+      EXPECT_EQ(serial.feasible, parallel.feasible);
+      EXPECT_EQ(serial.peak_candidates, parallel.peak_candidates);
+    }
   }
-  EXPECT_EQ(serial.evaluated, parallel.evaluated);
-  EXPECT_EQ(serial.feasible, parallel.feasible);
-  EXPECT_EQ(serial.peak_candidates, parallel.peak_candidates);
 }
 
 TEST(EnumerateFrontierTest, FrontierPointsAreMutuallyNonDominated) {

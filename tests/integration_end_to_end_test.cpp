@@ -3,6 +3,10 @@
 // agrees with densities measured from the actual network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "cloud/density.h"
 #include "cloud/simulator.h"
 #include "core/accuracy_model.h"
@@ -41,7 +45,7 @@ TEST(EndToEnd, RealPruningSpeedsUpScaledInference) {
   // On the real CPU engine, CSR execution of a 90 %-pruned network must
   // beat dense execution of the unpruned one (the mechanism the cloud
   // model assumes). Use model cost (deterministic) rather than wall time
-  // (noisy on shared CI machines) — plus one wall-clock spot check.
+  // (noisy on shared CI machines) — plus a best-of-N wall-clock check.
   const nn::Network base = ScaledCaffeNet();
   const nn::Network pruned = pruning::ApplyPlan(
       base, pruning::UniformPlan(
@@ -58,17 +62,30 @@ TEST(EndToEnd, RealPruningSpeedsUpScaledInference) {
 
   const data::SyntheticImageDataset dataset(Shape{3, 227, 227}, 50, 8, 2);
   const Tensor batch = dataset.Batch(0, 2);
-  std::vector<nn::LayerTiming> base_times, pruned_times;
-  (void)base.Forward(batch, &base_times);
-  (void)pruned.Forward(batch, &pruned_times);
-  double base_conv = 0.0, pruned_conv = 0.0;
-  for (const auto& t : base_times) {
-    if (t.kind == nn::LayerKind::kConvolution) base_conv += t.seconds;
+  const auto conv_seconds = [&batch](const nn::Network& net) {
+    std::vector<nn::LayerTiming> times;
+    (void)net.Forward(batch, &times);
+    double conv = 0.0;
+    for (const auto& t : times) {
+      if (t.kind == nn::LayerKind::kConvolution) conv += t.seconds;
+    }
+    return conv;
+  };
+  // The first Forward of a net is cold, and one sample on a loaded host
+  // can land on either side: warm both nets up, then compare the best of
+  // several interleaved runs. The margin is thin at this scale (conv1
+  // dominates both nets' conv time and shrinks little when pruned), so
+  // CTest runs this executable alone (RUN_SERIAL in tests/CMakeLists.txt).
+  (void)conv_seconds(base);
+  (void)conv_seconds(pruned);
+  double base_conv = std::numeric_limits<double>::infinity();
+  double pruned_conv = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 10; ++rep) {
+    base_conv = std::min(base_conv, conv_seconds(base));
+    pruned_conv = std::min(pruned_conv, conv_seconds(pruned));
   }
-  for (const auto& t : pruned_times) {
-    if (t.kind == nn::LayerKind::kConvolution) pruned_conv += t.seconds;
-  }
-  EXPECT_LT(pruned_conv, base_conv);
+  EXPECT_LT(pruned_conv, base_conv)
+      << "best conv seconds: pruned " << pruned_conv << ", base " << base_conv;
 }
 
 TEST(EndToEnd, AnalyticAndMeasuredDensityAgreeOnCaffeNetShape) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -55,6 +57,11 @@ struct ConvCase {
   std::int64_t batch, in_c, in_hw;
   ConvParams params;
 };
+
+// gtest prints the parameter into each test's listed name; its default dump
+// of the raw bytes includes the string's heap address, which changes from run
+// to run, so print the case name instead.
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.name; }
 
 class ConvMatchesNaive : public ::testing::TestWithParam<ConvCase> {};
 

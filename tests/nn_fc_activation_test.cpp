@@ -178,9 +178,9 @@ TEST(DropoutLayer, IdentityAtInference) {
 TEST(WeightlessLayers, HaveNoWeights) {
   ReluLayer relu("r");
   EXPECT_FALSE(relu.HasWeights());
-  EXPECT_THROW(relu.MutableWeights(), CheckError);
-  EXPECT_THROW(relu.Weights(), CheckError);
-  EXPECT_THROW(relu.MutableBias(), CheckError);
+  EXPECT_THROW((void)relu.MutableWeights(), CheckError);
+  EXPECT_THROW((void)relu.Weights(), CheckError);
+  EXPECT_THROW((void)relu.MutableBias(), CheckError);
   EXPECT_DOUBLE_EQ(relu.WeightDensity(), 1.0);
 }
 

@@ -46,8 +46,8 @@ TEST(Shape, RejectsNegativeDims) {
 
 TEST(Shape, AxisOutOfRangeThrows) {
   const Shape s{2, 3};
-  EXPECT_THROW(s.Dim(2), CheckError);
-  EXPECT_THROW(s.Stride(5), CheckError);
+  EXPECT_THROW((void)s.Dim(2), CheckError);
+  EXPECT_THROW((void)s.Stride(5), CheckError);
 }
 
 TEST(Shape, VectorConstructor) {

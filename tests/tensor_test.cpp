@@ -26,8 +26,8 @@ TEST(Tensor, ConstructRejectsSizeMismatch) {
 
 TEST(Tensor, FlatAccessBoundsChecked) {
   Tensor t(Shape{4});
-  EXPECT_THROW(t.At(4), CheckError);
-  EXPECT_THROW(t.At(-1), CheckError);
+  EXPECT_THROW((void)t.At(4), CheckError);
+  EXPECT_THROW((void)t.At(-1), CheckError);
   EXPECT_THROW(t.Set(4, 1.0f), CheckError);
 }
 
@@ -42,13 +42,13 @@ TEST(Tensor, At4RowMajorNchwLayout) {
 
 TEST(Tensor, At4RequiresRank4) {
   const Tensor t(Shape{4, 4});
-  EXPECT_THROW(t.At4(0, 0, 0, 0), CheckError);
+  EXPECT_THROW((void)t.At4(0, 0, 0, 0), CheckError);
 }
 
 TEST(Tensor, At4BoundsChecked) {
   const Tensor t(Shape{1, 2, 3, 4});
-  EXPECT_THROW(t.At4(0, 2, 0, 0), CheckError);
-  EXPECT_THROW(t.At4(0, 0, 3, 0), CheckError);
+  EXPECT_THROW((void)t.At4(0, 2, 0, 0), CheckError);
+  EXPECT_THROW((void)t.At4(0, 0, 3, 0), CheckError);
 }
 
 TEST(Tensor, ReshapedPreservesData) {
