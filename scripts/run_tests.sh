@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Build and run the test suite, optionally restricted to a CTest label.
 #
-#   scripts/run_tests.sh            # full suite
+#   scripts/run_tests.sh            # full suite, then again in build-generic/
+#                                   # (CCPERF_NATIVE_KERNELS=OFF,
+#                                   # CCPERF_WERROR=ON)
 #   scripts/run_tests.sh kernels    # math kernels, threading, layer primitives
 #   scripts/run_tests.sh cloud      # cloud cost/latency model + simulator
 #   scripts/run_tests.sh integration
@@ -31,4 +33,11 @@ if [[ -n "$LABEL" ]]; then
   ctest --test-dir build --output-on-failure -j "$(nproc)" -L "$LABEL"
 else
   ctest --test-dir build --output-on-failure -j "$(nproc)"
+  # Host matrix: the same suite on portable (non -march=native) kernels,
+  # warnings as errors, at the default build type, so ISA-dependent
+  # behaviour is covered on every host.
+  cmake -B build-generic -S . -DCCPERF_BUILD_TESTS=ON \
+    -DCCPERF_NATIVE_KERNELS=OFF -DCCPERF_WERROR=ON
+  cmake --build build-generic -j "$(nproc)"
+  ctest --test-dir build-generic --output-on-failure -j "$(nproc)"
 fi

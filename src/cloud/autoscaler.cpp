@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/threading.h"
 
 namespace ccperf::cloud {
 
@@ -195,49 +194,6 @@ AutoscaleResult Autoscaler::RunFaultedPlaced(
     }
   }
   return result;
-}
-
-PolicyRanking Autoscaler::RankFaultedPolicies(
-    const std::vector<std::vector<double>>& arrivals, double epoch_s,
-    const VariantPerf& perf, const std::vector<AutoscalePolicy>& policies,
-    const ServingPolicy& serving_policy, const RetryPolicy& retry,
-    const FaultSchedule& faults, double min_slo_compliance) const {
-  CCPERF_CHECK(!policies.empty(), "need at least one candidate policy");
-  CCPERF_CHECK(min_slo_compliance >= 0.0 && min_slo_compliance <= 1.0,
-               "min_slo_compliance must be in [0, 1], got ",
-               min_slo_compliance);
-  PolicyRanking ranking;
-  ranking.results.resize(policies.size());
-  FirstErrorCollector errors;
-  // One RunFaulted per task; slot i is owned by task i, so only the error
-  // funnel needs a lock and the per-policy results stay schedule-independent.
-  ParallelFor(
-      0, policies.size(),
-      [&](std::size_t i) {
-        try {
-          ranking.results[i] =
-              RunFaulted(arrivals, epoch_s, perf, policies[i], serving_policy,
-                         retry, faults);
-        } catch (const CheckError& error) {
-          errors.Record(i, detail::ConcatMessage("policy ", i, ": ",
-                                                 error.what()));
-        }
-      },
-      /*grain=*/1);
-  errors.RethrowIfError();
-  // Serial argmin with an index tie-break: the winner is a pure function of
-  // the results, never of completion order.
-  for (std::size_t i = 0; i < ranking.results.size(); ++i) {
-    const AutoscaleResult& candidate = ranking.results[i];
-    if (candidate.slo_compliance < min_slo_compliance) continue;
-    if (ranking.best < 0 ||
-        candidate.total_cost_usd <
-            ranking.results[static_cast<std::size_t>(ranking.best)]
-                .total_cost_usd) {
-      ranking.best = static_cast<int>(i);
-    }
-  }
-  return ranking;
 }
 
 }  // namespace ccperf::cloud

@@ -50,15 +50,6 @@ struct AutoscaleResult {
   double slo_compliance = 1.0;
 };
 
-/// Outcome of RankFaultedPolicies: every candidate's full run, plus the
-/// winner (lowest total cost among candidates meeting the SLO floor;
-/// ties break to the lowest index). best == -1 when no candidate
-/// qualifies.
-struct PolicyRanking {
-  std::vector<AutoscaleResult> results;
-  int best = -1;
-};
-
 /// Epoch-driven reactive autoscaler over a homogeneous fleet of one
 /// instance type.
 class Autoscaler {
@@ -114,18 +105,6 @@ class Autoscaler {
       const RedundancyPolicy& redundancy = {},
       const CheckpointPolicy* checkpoint = nullptr,
       CheckpointStats* checkpoint_stats = nullptr) const;
-
-  /// Evaluate every candidate policy with RunFaulted, fanned across the
-  /// global thread pool (each run stays serial inside its task, so
-  /// results[i] is bitwise identical to a standalone RunFaulted with
-  /// policies[i]). The winner minimizes total_cost_usd among candidates
-  /// with slo_compliance >= min_slo_compliance. Validation errors rethrow
-  /// deterministically (lowest failing index) after the sweep.
-  [[nodiscard]] PolicyRanking RankFaultedPolicies(
-      const std::vector<std::vector<double>>& arrivals, double epoch_s,
-      const VariantPerf& perf, const std::vector<AutoscalePolicy>& policies,
-      const ServingPolicy& serving_policy, const RetryPolicy& retry,
-      const FaultSchedule& faults, double min_slo_compliance = 0.0) const;
 
  private:
   const ServingSimulator& serving_;

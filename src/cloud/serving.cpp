@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "common/snapshot.h"
 #include "common/stats.h"
-#include "common/threading.h"
 
 namespace ccperf::cloud {
 
@@ -110,121 +109,8 @@ ServingReport ServingSimulator::SimulateTrace(
     const ResourceConfig& config, const VariantPerf& perf,
     std::vector<double> arrivals, double duration_s,
     const ServingPolicy& policy) const {
-  CCPERF_CHECK(!config.Empty(), "empty configuration");
-  CCPERF_CHECK(duration_s > 0.0, "duration must be positive");
-  ValidateServingPolicy(policy);
-  CCPERF_CHECK(std::is_sorted(arrivals.begin(), arrivals.end()),
-               "arrival trace must be time-sorted");
-
-  // One server per GPU. Per-GPU batch limit respects device memory.
-  struct GpuServer {
-    const InstanceType* type;
-    double free_at = 0.0;
-    double busy = 0.0;
-  };
-  std::vector<GpuServer> gpus;
-  for (const auto& [type_name, count] : config.instances) {
-    const InstanceType& type = simulator_.Catalog().Find(type_name);
-    for (int i = 0; i < count * type.gpus; ++i) gpus.push_back({&type});
-  }
-  CCPERF_CHECK(!gpus.empty(), "configuration has no GPUs");
-
-  ServingReport report;
-  report.duration_s = duration_s;
-  report.requests = static_cast<std::int64_t>(arrivals.size());
-  for (const auto& [type_name, count] : config.instances) {
-    report.cost_per_hour_usd +=
-        (simulator_.Catalog().Find(type_name).price_per_hour * count).value();
-  }
-  if (arrivals.empty()) return report;
-
-  const double infinity = std::numeric_limits<double>::infinity();
-  std::deque<double> queue;  // arrival times of waiting requests
-  std::vector<double> latencies;
-  latencies.reserve(arrivals.size());
-  std::size_t next_arrival = 0;
-  const std::size_t backlog_limit =
-      static_cast<std::size_t>(policy.max_batch) * 200 + 10000;
-
-  while (next_arrival < arrivals.size() || !queue.empty()) {
-    if (queue.empty()) {
-      queue.push_back(arrivals[next_arrival++]);
-      continue;
-    }
-    // Earliest-free GPU serves the next batch.
-    auto gpu_it = std::min_element(
-        gpus.begin(), gpus.end(),
-        [](const GpuServer& a, const GpuServer& b) {
-          return a.free_at < b.free_at;
-        });
-    const GpuSpec& spec = simulator_.Catalog().Gpu(gpu_it->type->gpu);
-    const auto batch_cap =
-        std::min<std::int64_t>(policy.max_batch, spec.max_batch);
-
-    // When does the dispatch trigger fire? Either the oldest request's
-    // wait deadline, or the moment the queue would fill a batch.
-    const double deadline = queue.front() + policy.max_wait_s;
-    double full_at = infinity;
-    const std::size_t missing =
-        static_cast<std::size_t>(batch_cap) > queue.size()
-            ? static_cast<std::size_t>(batch_cap) - queue.size()
-            : 0;
-    if (missing == 0) {
-      full_at = queue.back();
-    } else if (next_arrival + missing - 1 < arrivals.size()) {
-      full_at = arrivals[next_arrival + missing - 1];
-    }
-    const double dispatch_at =
-        std::max(gpu_it->free_at, std::min(deadline, full_at));
-
-    // Absorb every request that has arrived by the dispatch moment.
-    while (next_arrival < arrivals.size() &&
-           arrivals[next_arrival] <= dispatch_at) {
-      queue.push_back(arrivals[next_arrival++]);
-    }
-    const auto batch_size = std::min<std::int64_t>(
-        batch_cap, static_cast<std::int64_t>(queue.size()));
-    const double service =
-        simulator_.BatchSeconds(*gpu_it->type, perf, batch_size).value();
-    const double completion = dispatch_at + service;
-    for (std::int64_t k = 0; k < batch_size; ++k) {
-      latencies.push_back(completion - queue.front());
-      queue.pop_front();
-    }
-    gpu_it->free_at = completion;
-    gpu_it->busy += service;
-    report.max_queue = std::max(report.max_queue,
-                                static_cast<double>(queue.size()));
-    if (queue.size() > backlog_limit) {
-      report.stable = false;
-      break;
-    }
-  }
-
-  report.completed = static_cast<std::int64_t>(latencies.size());
-  std::int64_t in_deadline = 0;
-  for (double latency : latencies) {
-    if (latency <= policy.deadline_s) ++in_deadline;
-  }
-  report.deadline_misses = report.completed - in_deadline;
-  report.goodput_per_s = static_cast<double>(in_deadline) / duration_s;
-  report.accuracy_weighted_goodput = report.goodput_per_s;
-  if (report.requests > 0) {
-    report.deadline_miss_rate =
-        1.0 - static_cast<double>(in_deadline) /
-                  static_cast<double>(report.requests);
-  }
-  if (!latencies.empty()) {
-    report.mean_latency_s = MeanOf(latencies);
-    report.p50_latency_s = Quantile(latencies, 0.50);
-    report.p95_latency_s = Quantile(latencies, 0.95);
-    report.p99_latency_s = Quantile(latencies, 0.99);
-  }
-  double busy = 0.0;
-  for (const auto& gpu : gpus) busy += gpu.busy;
-  report.utilization =
-      busy / (static_cast<double>(gpus.size()) * duration_s);
-  return report;
+  return SimulateFaulted(config, perf, std::move(arrivals), duration_s, policy,
+                         RetryPolicy{}, FaultSchedule{});
 }
 
 ServingReport ServingSimulator::SimulateFaulted(
@@ -239,33 +125,6 @@ ServingReport ServingSimulator::SimulateFaulted(
                               variant_accuracy, redundancy, sdc);
   while (!engine.Done()) engine.Step();
   return engine.Finish();
-}
-
-std::vector<ServingReport> ServingSimulator::SimulateFaultedMany(
-    const std::vector<FaultedScenario>& scenarios, const VariantPerf& perf,
-    double duration_s, const ServingPolicy& policy, const RetryPolicy& retry,
-    InflightPolicy inflight) const {
-  std::vector<ServingReport> reports(scenarios.size());
-  FirstErrorCollector errors;
-  // Each task owns slot i exclusively, so the reports need no lock; only
-  // the error funnel is shared. grain=1: one simulation per task — the
-  // per-scenario cost dwarfs dispatch overhead.
-  ParallelFor(
-      0, scenarios.size(),
-      [&](std::size_t i) {
-        const FaultedScenario& s = scenarios[i];
-        try {
-          reports[i] =
-              SimulateFaulted(s.config, perf, s.arrivals, duration_s, policy,
-                              retry, s.faults, inflight, s.variant_accuracy);
-        } catch (const CheckError& error) {
-          errors.Record(i, detail::ConcatMessage("scenario ", i, ": ",
-                                                 error.what()));
-        }
-      },
-      /*grain=*/1);
-  errors.RethrowIfError();
-  return reports;
 }
 
 ServingReport ServingSimulator::SimulateFaultedCheckpointed(
@@ -420,7 +279,6 @@ FaultedServingEngine::FaultedServingEngine(
   copies_live_.assign(arrivals_.size(), 0);
   done_.assign(arrivals_.size(), 0);
   hedges_used_.assign(arrivals_.size(), 0);
-  fingerprint_ = Fingerprint();
 }
 
 bool FaultedServingEngine::Done() const {
@@ -512,29 +370,35 @@ void FaultedServingEngine::Step() {
       std::min<std::int64_t>(policy_.max_batch, spec.max_batch);
 
   // Dispatch trigger: oldest wait deadline or the moment the batch would
-  // fill (merging the trace with pending retries).
+  // fill, i.e. the `missing`-th upcoming source time of the trace merged
+  // with pending retries. Only retries earlier than the trace's own
+  // candidate can move it, so just those are sorted; retry j then joins
+  // while it beats the trace arrival it would displace.
+  const auto cap = static_cast<std::size_t>(batch_cap);
   double full_at = infinity;
-  if (waiting_.size() >= static_cast<std::size_t>(batch_cap)) {
-    full_at = waiting_[static_cast<std::size_t>(batch_cap) - 1].ready;
+  if (waiting_.size() >= cap) {
+    full_at = waiting_[cap - 1].ready;
   } else {
-    std::size_t missing =
-        static_cast<std::size_t>(batch_cap) - waiting_.size();
+    const std::size_t missing = cap - waiting_.size();
+    const auto upcoming_arrival = [&](std::size_t k) {
+      const std::size_t i = next_arrival_ + k;
+      return i < arrivals_.size() ? arrivals_[i] : infinity;
+    };
+    const double trace_only = upcoming_arrival(missing - 1);
     std::vector<double> retry_readies;
-    retry_readies.reserve(requeued_.size());
-    for (const Pending& p : requeued_) retry_readies.push_back(p.ready);
-    std::sort(retry_readies.begin(), retry_readies.end());
-    std::size_t ai = next_arrival_, ri = 0;
-    double kth = infinity;
-    while (missing > 0) {
-      const double a = ai < arrivals_.size() ? arrivals_[ai] : infinity;
-      const double r =
-          ri < retry_readies.size() ? retry_readies[ri] : infinity;
-      kth = std::min(a, r);
-      if (kth == infinity) break;
-      if (a <= r) ++ai; else ++ri;
-      --missing;
+    for (const Pending& p : requeued_) {
+      if (p.ready < trace_only) retry_readies.push_back(p.ready);
     }
-    full_at = missing == 0 ? kth : infinity;
+    std::sort(retry_readies.begin(), retry_readies.end());
+    std::size_t j = 0;
+    while (j < retry_readies.size() && j < missing &&
+           retry_readies[j] < upcoming_arrival(missing - j - 1)) {
+      ++j;
+    }
+    full_at = j > 0 ? retry_readies[j - 1] : -infinity;
+    if (j < missing) {
+      full_at = std::max(full_at, upcoming_arrival(missing - j - 1));
+    }
   }
   const double wait_deadline = t_first + policy_.max_wait_s;
   double dispatch_at = std::max(best_at, std::min(wait_deadline, full_at));
@@ -592,20 +456,22 @@ void FaultedServingEngine::Step() {
   // Select the batch front-to-back, never taking two copies of one request
   // (siblings must ride different dispatches to buy failure independence);
   // skipped siblings keep their queue position. With single-copy requests
-  // this degenerates to taking the first batch_cap entries.
-  std::vector<Pending> batch;
-  batch.reserve(static_cast<std::size_t>(batch_cap));
+  // this degenerates to taking the first batch_cap entries; a request with
+  // one live copy has no sibling to look for.
+  std::vector<Pending>& batch = batch_;
+  batch.clear();
   {
     std::vector<Pending> skipped;
-    while (!waiting_.empty() &&
-           batch.size() < static_cast<std::size_t>(batch_cap)) {
+    while (!waiting_.empty() && batch.size() < cap) {
       const Pending p = waiting_.front();
       waiting_.pop_front();
       bool sibling_in_batch = false;
-      for (const Pending& b : batch) {
-        if (b.id == p.id) {
-          sibling_in_batch = true;
-          break;
+      if (copies_live_[static_cast<std::size_t>(p.id)] > 1) {
+        for (const Pending& b : batch) {
+          if (b.id == p.id) {
+            sibling_in_batch = true;
+            break;
+          }
         }
       }
       if (sibling_in_batch) {
@@ -746,6 +612,7 @@ ServingReport FaultedServingEngine::Finish() const {
 std::uint32_t FaultedServingEngine::Fingerprint() const {
   // CRC over every input that shapes the trajectory: restoring a snapshot
   // into an engine built from different inputs must fail loudly.
+  if (fingerprint_) return *fingerprint_;
   SnapshotSectionWriter w;
   w.PutF64Vector(arrivals_);
   for (const auto& [type_name, count] : config_.instances) {
@@ -773,14 +640,15 @@ std::uint32_t FaultedServingEngine::Fingerprint() const {
   w.PutF64(sdc_.scrub_cost_s);
   w.PutF64(sdc_.sample_fraction);
   w.PutString(FaultScheduleCsv(faults_));
-  return Crc32(w.Bytes());
+  fingerprint_ = Crc32(w.Bytes());
+  return *fingerprint_;
 }
 
 std::string FaultedServingEngine::Checkpoint() const {
   SnapshotWriter writer(kServingSnapshotTag);
 
   SnapshotSectionWriter& meta = writer.AddSection("meta");
-  meta.PutU32(fingerprint_);
+  meta.PutU32(Fingerprint());
   meta.PutF64(watermark_);
   meta.PutBool(halted_);
   meta.PutU64(next_arrival_);
@@ -851,7 +719,7 @@ void FaultedServingEngine::Restore(const std::string& snapshot) {
 
   SnapshotSectionReader meta = reader.Section("meta");
   const std::uint32_t fingerprint = meta.TakeU32();
-  CCPERF_CHECK(fingerprint == fingerprint_,
+  CCPERF_CHECK(fingerprint == Fingerprint(),
                "serving snapshot does not match this run's inputs "
                "(trace, config, policies, fault schedule)");
   const double watermark = meta.TakeF64();

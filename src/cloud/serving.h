@@ -7,13 +7,17 @@
 //
 // Model: Poisson arrivals; each GPU serves batches FIFO; the dispatcher
 // releases a batch when `max_batch` requests are waiting or the oldest
-// request has waited `max_wait_s`. Batch service time comes from the same
-// calibrated device model as the offline simulator.
+// request has waited `max_wait_s`, onto the GPU that can start it earliest.
+// A request whose deadline passes before service starts is dropped. Batch
+// service time comes from the same calibrated device model as the offline
+// simulator. Every entry point runs one engine, FaultedServingEngine; the
+// fault-free ones replay an empty FaultSchedule.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -144,15 +148,6 @@ struct ServingReport {
   double delivered_accuracy_weighted_goodput = 0.0;
 };
 
-/// One entry of a SimulateFaultedMany sweep: a fleet, an arrival trace and
-/// the fault schedule it is replayed against.
-struct FaultedScenario {
-  ResourceConfig config;
-  std::vector<double> arrivals;
-  FaultSchedule faults;
-  double variant_accuracy = 1.0;
-};
-
 /// Discrete-event simulator over the calibrated device model.
 class ServingSimulator {
  public:
@@ -168,7 +163,8 @@ class ServingSimulator {
                                        Rng& rng) const;
 
   /// Replay an explicit arrival trace (ascending timestamps in seconds).
-  /// `duration_s` is the horizon used for utilization accounting.
+  /// `duration_s` is the horizon used for utilization accounting. Same as
+  /// SimulateFaulted with default retries and an empty fault schedule.
   [[nodiscard]] ServingReport SimulateTrace(const ResourceConfig& config,
                                             const VariantPerf& perf,
                                             std::vector<double> arrivals,
@@ -211,18 +207,6 @@ class ServingSimulator {
       const RedundancyPolicy& redundancy = {},
       const SdcPolicy& sdc = {}) const;
 
-  /// Run every scenario through SimulateFaulted, fanned across the global
-  /// thread pool (each scenario's simulation stays serial, so report i is
-  /// bitwise identical to a standalone SimulateFaulted of scenario i
-  /// regardless of scheduling). If scenarios fail validation, the error of
-  /// the lowest-index failing scenario is rethrown — deterministically —
-  /// after the sweep finishes.
-  [[nodiscard]] std::vector<ServingReport> SimulateFaultedMany(
-      const std::vector<FaultedScenario>& scenarios, const VariantPerf& perf,
-      double duration_s, const ServingPolicy& policy,
-      const RetryPolicy& retry,
-      InflightPolicy inflight = InflightPolicy::kRequeue) const;
-
   /// Max sustainable arrival rate (requests/s) of a configuration at full
   /// batching — the stability boundary of Simulate().
   [[nodiscard]] double Capacity(const ResourceConfig& config,
@@ -235,15 +219,16 @@ class ServingSimulator {
   const CloudSimulator& simulator_;
 };
 
-/// The discrete-event core of SimulateFaulted as a steppable, checkpointable
-/// object: construct with the run's inputs, Step() until Done(), Finish()
-/// for the report. Checkpoint() captures the full mutable state through the
-/// common snapshot format; Restore() on an engine built from the *same*
-/// inputs resumes it so that the finished report is bitwise identical to an
-/// uninterrupted run — the durability invariant the spot-preemption story
-/// rests on. Restoring against different inputs (detected via a CRC
-/// fingerprint of trace/config/policies/schedule) throws CheckError, as do
-/// corrupted or truncated snapshot bytes.
+/// The discrete-event core of every ServingSimulator entry point as a
+/// steppable, checkpointable object: construct with the run's inputs,
+/// Step() until Done(), Finish() for the report. Checkpoint() captures the
+/// full mutable state through the common snapshot format; Restore() on an
+/// engine built from the *same* inputs resumes it so that the finished
+/// report is bitwise identical to an uninterrupted run — the durability
+/// invariant the spot-preemption story rests on. Restoring against
+/// different inputs (detected via a CRC fingerprint of
+/// trace/config/policies/schedule) throws CheckError, as do corrupted or
+/// truncated snapshot bytes.
 class FaultedServingEngine {
  public:
   FaultedServingEngine(const ServingSimulator& serving,
@@ -291,6 +276,8 @@ class FaultedServingEngine {
 
   [[nodiscard]] double NextSourceReady() const;
   void AdmitUntil(double t);
+  /// CRC of the run's inputs, computed on the first Checkpoint() or
+  /// Restore() so that runs which never snapshot skip a pass over the trace.
   [[nodiscard]] std::uint32_t Fingerprint() const;
 
   // Immutable run context (rebuilt identically at restore time).
@@ -316,7 +303,7 @@ class FaultedServingEngine {
   std::vector<int> gpu_instance_;
   std::vector<InstanceTimeline> timelines_;
   std::size_t backlog_limit_ = 0;
-  std::uint32_t fingerprint_ = 0;
+  mutable std::optional<std::uint32_t> fingerprint_;  // see Fingerprint()
 
   // Mutable simulation state — everything Checkpoint() captures.
   std::vector<GpuState> gpus_;
@@ -336,6 +323,10 @@ class FaultedServingEngine {
   double watermark_ = 0.0;
   bool halted_ = false;  // fleet permanently gone or backlog exploded
   ServingReport report_;
+
+  // Batch buffer reused across Step() calls to avoid reallocating. Its
+  // contents are dead once Step() returns; Checkpoint() skips it.
+  std::vector<Pending> batch_;
 };
 
 /// Non-homogeneous Poisson arrivals with a sinusoidal diurnal rate:

@@ -44,12 +44,17 @@ double MeanOf(std::span<const double> values) {
 double Quantile(std::vector<double> values, double q) {
   CCPERF_CHECK(!values.empty(), "Quantile requires a non-empty sample");
   CCPERF_CHECK(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  std::sort(values.begin(), values.end());
   const double pos = q * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  // Only order statistics lo and hi = lo + 1 are read, so select instead
+  // of sorting: O(n), and the same two values a full sort would give.
+  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  const double hi_value =
+      hi == lo ? *lo_it : *std::min_element(lo_it + 1, values.end());
+  return *lo_it * (1.0 - frac) + hi_value * frac;
 }
 
 }  // namespace ccperf

@@ -86,7 +86,13 @@ float FiniteMaxAbs(std::span<const float> v) {
     acc1 = _mm512_mask_max_ps(acc1, _mm512_cmp_ps_mask(a1, fmax, _CMP_LE_OQ),
                               acc1, a1);
   }
-  float m = _mm512_reduce_max_ps(_mm512_max_ps(acc0, acc1));
+  // Lane-wise reduction through memory: GCC 12 expands
+  // _mm512_reduce_max_ps via _mm512_undefined_ps, which trips
+  // -Wuninitialized under CCPERF_WERROR.
+  alignas(64) float lanes[16];
+  _mm512_store_ps(lanes, _mm512_maskz_max_ps(0xFFFF, acc0, acc1));
+  float m = 0.0f;
+  for (const float lane : lanes) m = std::max(m, lane);
   for (; i < v.size(); ++i) {
     const float a = std::fabs(v[i]);
     if (a <= std::numeric_limits<float>::max()) m = std::max(m, a);

@@ -124,77 +124,5 @@ TEST_F(AutoscalerTest, RejectsBadInputs) {
       CheckError);
 }
 
-TEST_F(AutoscalerTest, RankFaultedPoliciesMatchesStandaloneRuns) {
-  const auto traces = Traces({20, 60, 100, 100}, 120.0, 9);
-  FaultSchedule faults;
-  faults.events.push_back({FaultKind::kCrash, 0, 150.0, 20.0, 1.0});
-  const ServingPolicy serving_policy{
-      .max_batch = 128, .max_wait_s = 0.1, .deadline_s = 3.0};
-  const RetryPolicy retry{.max_retries = 2};
-  const std::vector<AutoscalePolicy> policies = {
-      {.target_utilization = 0.4, .max_instances = 8},
-      {.target_utilization = 0.6, .max_instances = 8},
-      {.target_utilization = 0.8, .max_instances = 8},
-  };
-  const PolicyRanking ranking = scaler_.RankFaultedPolicies(
-      traces, 120.0, perf_, policies, serving_policy, retry, faults);
-  ASSERT_EQ(ranking.results.size(), policies.size());
-  for (std::size_t i = 0; i < policies.size(); ++i) {
-    const AutoscaleResult alone = scaler_.RunFaulted(
-        traces, 120.0, perf_, policies[i], serving_policy, retry, faults);
-    EXPECT_EQ(ranking.results[i].total_cost_usd, alone.total_cost_usd)
-        << "policy " << i << " must be bitwise identical to a solo run";
-    EXPECT_EQ(ranking.results[i].slo_compliance, alone.slo_compliance) << i;
-  }
-  ASSERT_GE(ranking.best, 0);
-  // The winner is the cheapest qualifying candidate.
-  for (std::size_t i = 0; i < ranking.results.size(); ++i) {
-    EXPECT_LE(
-        ranking.results[static_cast<std::size_t>(ranking.best)]
-            .total_cost_usd,
-        ranking.results[i].total_cost_usd);
-  }
-}
-
-TEST_F(AutoscalerTest, RankFaultedPoliciesHonorsSloFloor) {
-  const auto traces = Traces({50, 50}, 120.0, 13);
-  const std::vector<AutoscalePolicy> policies = {
-      {.target_utilization = 0.6, .max_instances = 4}};
-  // An unreachable floor disqualifies everything.
-  const PolicyRanking none = scaler_.RankFaultedPolicies(
-      traces, 120.0, perf_, policies,
-      {.max_batch = 128, .max_wait_s = 0.1, .deadline_s = 0.11}, {}, {},
-      /*min_slo_compliance=*/1.0);  // met only by a perfect run
-  // With a zero floor there is always a winner.
-  const PolicyRanking any = scaler_.RankFaultedPolicies(
-      traces, 120.0, perf_, policies,
-      {.max_batch = 128, .max_wait_s = 0.1}, {}, {});
-  EXPECT_EQ(any.best, 0);
-  EXPECT_EQ(none.results.size(), 1u);
-  if (none.results[0].slo_compliance < 1.0) {
-    EXPECT_EQ(none.best, -1);
-  }
-}
-
-TEST_F(AutoscalerTest, RankFaultedPoliciesRethrowsLowestFailingIndex) {
-  const auto traces = Traces({10}, 60.0, 3);
-  const std::vector<AutoscalePolicy> policies = {
-      {.target_utilization = 0.6},
-      {.target_utilization = 1.5},  // invalid
-      {.target_utilization = -2.0},  // invalid
-  };
-  try {
-    (void)scaler_.RankFaultedPolicies(traces, 60.0, perf_, policies, {}, {},
-                                      {});
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& error) {
-    EXPECT_NE(std::string(error.what()).find("policy 1"), std::string::npos)
-        << error.what();
-  }
-  EXPECT_THROW((void)scaler_.RankFaultedPolicies(traces, 60.0, perf_, {},
-                                                 {}, {}, {}),
-               CheckError);
-}
-
 }  // namespace
 }  // namespace ccperf::cloud

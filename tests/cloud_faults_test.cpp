@@ -436,20 +436,86 @@ TEST(RetryPolicyTest, DegenerateMultiplierAndBaseAreExact) {
 // ------------------------------------------------------- faulted serving
 
 TEST_F(FaultsTest, EmptyScheduleMatchesFaultFreePath) {
+  // Golden report of this single-GPU scenario, captured from the dedicated
+  // fault-free loop that SimulateTrace ran before it became an
+  // empty-schedule SimulateFaulted. That loop left delivered goodput at 0;
+  // with no corruption it equals accuracy_weighted_goodput.
+  ServingReport plain;
+  plain.requests = 969;
+  plain.duration_s = 0x1.ep+6;
+  plain.mean_latency_s = 0x1.0e2abc8e3f14dp-2;
+  plain.p50_latency_s = 0x1.bf5f3616dcp-3;
+  plain.p95_latency_s = 0x1.083e3b72927ep-1;
+  plain.p99_latency_s = 0x1.66afc522144a6p-1;
+  plain.max_queue = 0x0p+0;
+  plain.utilization = 0x1.6313ff4e3c4f3p-1;
+  plain.cost_per_hour_usd = 0x1.ccccccccccccdp-1;
+  plain.stable = true;
+  plain.completed = 969;
+  plain.goodput_per_s = 0x1.0266666666666p+3;
+  plain.deadline_miss_rate = 0x0p+0;
+  plain.accuracy_weighted_goodput = 0x1.0266666666666p+3;
+  plain.delivered_accuracy_weighted_goodput = 0x1.0266666666666p+3;
+
   const ServingPolicy policy{.max_batch = 32, .max_wait_s = 0.05};
   auto trace = PoissonTrace(8.0, 120.0, 11);
-  const ServingReport plain =
-      serving_.SimulateTrace(OneP2(), perf_, trace, 120.0, policy);
   const ServingReport faulted = serving_.SimulateFaulted(
       OneP2(), perf_, trace, 120.0, policy, {}, {});
-  EXPECT_EQ(plain.requests, faulted.requests);
-  EXPECT_EQ(plain.completed, faulted.completed);
-  EXPECT_DOUBLE_EQ(plain.p99_latency_s, faulted.p99_latency_s);
-  EXPECT_DOUBLE_EQ(plain.mean_latency_s, faulted.mean_latency_s);
-  EXPECT_DOUBLE_EQ(plain.utilization, faulted.utilization);
-  EXPECT_DOUBLE_EQ(plain.cost_per_hour_usd, faulted.cost_per_hour_usd);
+  const ServingReport via_trace =
+      serving_.SimulateTrace(OneP2(), perf_, trace, 120.0, policy);
+  for (const ServingReport* r : {&faulted, &via_trace}) {
+    EXPECT_EQ(plain.requests, r->requests);
+    EXPECT_EQ(plain.duration_s, r->duration_s);
+    EXPECT_EQ(plain.mean_latency_s, r->mean_latency_s);
+    EXPECT_EQ(plain.p50_latency_s, r->p50_latency_s);
+    EXPECT_EQ(plain.p95_latency_s, r->p95_latency_s);
+    EXPECT_EQ(plain.p99_latency_s, r->p99_latency_s);
+    EXPECT_EQ(plain.max_queue, r->max_queue);
+    EXPECT_EQ(plain.utilization, r->utilization);
+    EXPECT_EQ(plain.cost_per_hour_usd, r->cost_per_hour_usd);
+    EXPECT_EQ(plain.stable, r->stable);
+    EXPECT_EQ(plain.completed, r->completed);
+    EXPECT_EQ(plain.dropped_deadline, r->dropped_deadline);
+    EXPECT_EQ(plain.dropped_failed, r->dropped_failed);
+    EXPECT_EQ(plain.retries, r->retries);
+    EXPECT_EQ(plain.deadline_misses, r->deadline_misses);
+    EXPECT_EQ(plain.goodput_per_s, r->goodput_per_s);
+    EXPECT_EQ(plain.deadline_miss_rate, r->deadline_miss_rate);
+    EXPECT_EQ(plain.accuracy_weighted_goodput, r->accuracy_weighted_goodput);
+    EXPECT_EQ(plain.hedges, r->hedges);
+    EXPECT_EQ(plain.duplicate_completions, r->duplicate_completions);
+    EXPECT_EQ(plain.discarded_copies, r->discarded_copies);
+    EXPECT_EQ(plain.duplicate_service_s, r->duplicate_service_s);
+    EXPECT_EQ(plain.corrupted_batches, r->corrupted_batches);
+    EXPECT_EQ(plain.sdc_detected, r->sdc_detected);
+    EXPECT_EQ(plain.sdc_escaped, r->sdc_escaped);
+    EXPECT_EQ(plain.sdc_escaped_requests, r->sdc_escaped_requests);
+    EXPECT_EQ(plain.delivered_accuracy_weighted_goodput,
+              r->delivered_accuracy_weighted_goodput);
+  }
   EXPECT_EQ(faulted.retries, 0);
   EXPECT_EQ(faulted.dropped_failed, 0);
+}
+
+TEST_F(FaultsTest, PendingRetriesCountTowardFullBatchTrigger) {
+  // Batch 1 (arrivals 0-3 ms) dies with instance 0 at 20 ms; its four
+  // requests are requeued, ready at 70 ms. When the request of 4 ms waits
+  // for the healthy GPU, three sources are missing from a full batch: the
+  // arrival at 5 ms and two retries at 70 ms, not the trace arrival at
+  // 6 s. Golden values from the reference merge of trace and retry ready
+  // times.
+  ResourceConfig two;
+  two.Add("p2.xlarge", 2);
+  FaultSchedule faults;
+  faults.events.push_back({FaultKind::kCrash, 0, 0.02, 100.0, 1.0});
+  const ServingReport report = serving_.SimulateFaulted(
+      two, perf_, {0.0, 0.001, 0.002, 0.003, 0.004, 0.005, 5.0, 6.0}, 10.0,
+      {.max_batch = 4, .max_wait_s = 10.0}, {}, faults);
+  EXPECT_EQ(report.completed, 8);
+  EXPECT_EQ(report.retries, 4);
+  EXPECT_EQ(report.mean_latency_s, 0x1.f72d9394d5e1p+0);
+  EXPECT_EQ(report.p50_latency_s, 0x1.81f5cb40e8ec8p-2);
+  EXPECT_EQ(report.p99_latency_s, 0x1.938ac25db6936p+2);
 }
 
 TEST_F(FaultsTest, DeterministicGivenSeedAndSchedule) {

@@ -194,6 +194,8 @@ TEST_F(ServingTest, DeadlineAccountingInTracePath) {
   EXPECT_DOUBLE_EQ(report.deadline_miss_rate, 0.0);
   EXPECT_NEAR(report.goodput_per_s,
               static_cast<double>(report.requests) / 120.0, 1e-9);
+  EXPECT_EQ(report.delivered_accuracy_weighted_goodput,
+            report.accuracy_weighted_goodput);
 }
 
 TEST(ServingPolicyValidation, RejectsBadPolicies) {
@@ -303,72 +305,6 @@ TEST_F(ServingTest, RejectsBadArguments) {
   EXPECT_THROW((void)serving_.Simulate(OneP2(), perf_, 1.0, 10.0,
                                        {.max_batch = 0}, rng),
                CheckError);
-}
-
-TEST_F(ServingTest, SimulateFaultedManyMatchesStandaloneRuns) {
-  Rng rng(17);
-  std::vector<FaultedScenario> scenarios;
-  for (int k = 0; k < 6; ++k) {
-    FaultedScenario s;
-    s.config = OneP2();
-    double t = 0.0;
-    for (;;) {
-      t += -std::log(1.0 - rng.NextDouble()) / 20.0;
-      if (t > 60.0) break;
-      s.arrivals.push_back(t);
-    }
-    if (k % 2 == 1) {
-      s.faults.events.push_back({FaultKind::kCrash, 0, 10.0 + k, 5.0, 1.0});
-    }
-    s.variant_accuracy = 1.0 - 0.01 * k;
-    scenarios.push_back(std::move(s));
-  }
-  const ServingPolicy policy{.max_batch = 64, .max_wait_s = 0.05,
-                             .deadline_s = 5.0};
-  const RetryPolicy retry{.max_retries = 2};
-  const std::vector<ServingReport> many = serving_.SimulateFaultedMany(
-      scenarios, perf_, 60.0, policy, retry);
-  ASSERT_EQ(many.size(), scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const ServingReport alone = serving_.SimulateFaulted(
-        scenarios[i].config, perf_, scenarios[i].arrivals, 60.0, policy,
-        retry, scenarios[i].faults, InflightPolicy::kRequeue,
-        scenarios[i].variant_accuracy);
-    EXPECT_EQ(many[i].requests, alone.requests) << i;
-    EXPECT_EQ(many[i].completed, alone.completed) << i;
-    EXPECT_EQ(many[i].mean_latency_s, alone.mean_latency_s)
-        << "scenario " << i << " must be bitwise identical";
-    EXPECT_EQ(many[i].accuracy_weighted_goodput,
-              alone.accuracy_weighted_goodput) << i;
-  }
-}
-
-TEST_F(ServingTest, SimulateFaultedManyRethrowsLowestFailingScenario) {
-  std::vector<FaultedScenario> scenarios(4);
-  for (auto& s : scenarios) {
-    s.config = OneP2();
-    s.arrivals = {1.0, 2.0};
-  }
-  // Scenarios 1 and 3 carry invalid schedules (out-of-order starts); the
-  // surfaced error must name scenario 1 no matter the thread schedule.
-  for (std::size_t bad : {std::size_t{1}, std::size_t{3}}) {
-    scenarios[bad].faults.events = {
-        {FaultKind::kCrash, 0, 9.0, 1.0, 1.0},
-        {FaultKind::kCrash, 0, 3.0, 1.0, 1.0}};
-  }
-  try {
-    (void)serving_.SimulateFaultedMany(scenarios, perf_, 10.0, {}, {});
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& error) {
-    EXPECT_NE(std::string(error.what()).find("scenario 1"),
-              std::string::npos)
-        << error.what();
-  }
-}
-
-TEST_F(ServingTest, SimulateFaultedManyEmptyInputYieldsEmptyOutput) {
-  EXPECT_TRUE(
-      serving_.SimulateFaultedMany({}, perf_, 10.0, {}, {}).empty());
 }
 
 }  // namespace
