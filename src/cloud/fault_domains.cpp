@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -192,20 +193,25 @@ FaultDomainTopology FaultDomainTopology::Uniform(int regions,
                "topology needs at least one region, zone, and pool; got ",
                regions, "x", zones_per_region, "x", pools_per_zone);
   FaultDomainTopology topo;
+  // Names grow by appending ("r0", "r0z1", "r0z1p2"): GCC 12's -Wrestrict
+  // misfires at -O3 on `"literal" + std::string` temporaries.
   for (int r = 0; r < regions; ++r) {
     const int region_index = static_cast<int>(topo.domains.size());
-    topo.domains.push_back(
-        {"r" + std::to_string(r), -1, DomainLevel::kRegion});
+    std::string region = "r";
+    region += std::to_string(r);
+    topo.domains.push_back({region, -1, DomainLevel::kRegion});
     for (int z = 0; z < zones_per_region; ++z) {
       const int zone_index = static_cast<int>(topo.domains.size());
-      topo.domains.push_back({"r" + std::to_string(r) + "z" +
-                                  std::to_string(z),
-                              region_index, DomainLevel::kZone});
+      std::string zone = region;
+      zone += 'z';
+      zone += std::to_string(z);
+      topo.domains.push_back({zone, region_index, DomainLevel::kZone});
       for (int p = 0; p < pools_per_zone; ++p) {
-        topo.domains.push_back({"r" + std::to_string(r) + "z" +
-                                    std::to_string(z) + "p" +
-                                    std::to_string(p),
-                                zone_index, DomainLevel::kPool});
+        std::string pool = zone;
+        pool += 'p';
+        pool += std::to_string(p);
+        topo.domains.push_back(
+            {std::move(pool), zone_index, DomainLevel::kPool});
       }
     }
   }

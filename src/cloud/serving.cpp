@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <numbers>
 #include <utility>
@@ -178,6 +179,60 @@ ServingReport ServingSimulator::SimulateFaultedCheckpointed(
 
 namespace {
 constexpr std::uint32_t kServingSnapshotTag = 0x46535256u;  // 'FSRV'
+
+// Bytes per stored copy/hedge counter: the narrowest width that holds
+// `limit` (replicas + max_hedges), so common policies store one byte.
+std::uint8_t CounterWidth(std::int64_t limit) {
+  return limit <= 0xFF ? 1 : limit <= 0xFFFF ? 2 : 4;
+}
+
+template <typename U>
+void PutCountersAs(SnapshotSectionWriter& w,
+                   const std::vector<std::int32_t>& counters, std::size_t n) {
+  const std::vector<U> narrow(counters.begin(),
+                              counters.begin() + static_cast<std::ptrdiff_t>(n));
+  w.PutBytes(narrow.data(), n * sizeof(U));
+}
+
+void PutCounters(SnapshotSectionWriter& w,
+                 const std::vector<std::int32_t>& counters, std::size_t n,
+                 std::uint8_t width) {
+  if (width == 1) {
+    PutCountersAs<std::uint8_t>(w, counters, n);
+  } else if (width == 2) {
+    PutCountersAs<std::uint16_t>(w, counters, n);
+  } else {
+    w.PutBytes(counters.data(), n * sizeof(std::int32_t));
+  }
+}
+
+template <typename U>
+void DecodeCountersAs(std::string_view bytes, std::int64_t limit,
+                      const char* what, std::vector<std::int32_t>& out) {
+  for (std::size_t i = 0; i < bytes.size() / sizeof(U); ++i) {
+    U u;
+    std::memcpy(&u, bytes.data() + i * sizeof(U), sizeof(U));
+    const auto v = static_cast<std::int64_t>(u);
+    CCPERF_CHECK(v >= 0 && v <= limit, "corrupt serving snapshot: ", what, " ",
+                 v, " outside [0, ", limit, "]");
+    out[i] = static_cast<std::int32_t>(v);
+  }
+}
+
+/// Reads the first `n` counters written by PutCounters into `out`; every
+/// value must lie in [0, limit].
+void TakeCounters(SnapshotSectionReader& r, std::size_t n, std::uint8_t width,
+                  std::int64_t limit, const char* what,
+                  std::vector<std::int32_t>& out) {
+  const std::string_view bytes = r.TakeBytes(n * width);
+  if (width == 1) {
+    DecodeCountersAs<std::uint8_t>(bytes, limit, what, out);
+  } else if (width == 2) {
+    DecodeCountersAs<std::uint16_t>(bytes, limit, what, out);
+  } else {
+    DecodeCountersAs<std::int32_t>(bytes, limit, what, out);
+  }
+}
 }  // namespace
 
 bool FaultedServingEngine::Later(const Pending& a, const Pending& b) {
@@ -697,17 +752,26 @@ std::string FaultedServingEngine::Checkpoint() const {
   report.PutI64(report_.sdc_escaped);
   report.PutI64(report_.sdc_escaped_requests);
 
-  // Per-request redundancy bookkeeping. done_ packs to one byte per
-  // request; the count vectors reuse the I64Vector framing.
-  SnapshotSectionWriter& redundancy = writer.AddSection("redundancy");
-  redundancy.PutU64(done_.size());
-  for (const std::uint8_t d : done_) redundancy.PutU8(d);
+  // Per-request bookkeeping of the admitted prefix [0, next_arrival_): a
+  // request not yet admitted has no copies, no hedges and is not done, so
+  // its zeros are not stored. done_ packs to a bitset (request i is bit
+  // i % 8 of byte i / 8, padding bits zero); the live-copy and hedge
+  // counters follow at CounterWidth bytes each.
+  const std::size_t admitted = next_arrival_;
+  const std::uint8_t width = CounterWidth(
+      static_cast<std::int64_t>(redundancy_.replicas) + redundancy_.max_hedges);
+  SnapshotSectionWriter& requests = writer.AddSection("requests");
+  requests.PutU64(admitted);
+  requests.PutU8(width);
   {
-    std::vector<std::int64_t> wide(copies_live_.begin(), copies_live_.end());
-    redundancy.PutI64Vector(wide);
-    wide.assign(hedges_used_.begin(), hedges_used_.end());
-    redundancy.PutI64Vector(wide);
+    std::vector<std::uint8_t> bits((admitted + 7) / 8, 0);
+    for (std::size_t i = 0; i < admitted; ++i) {
+      bits[i >> 3] |= static_cast<std::uint8_t>(done_[i] << (i & 7));
+    }
+    requests.PutBytes(bits.data(), bits.size());
   }
+  PutCounters(requests, copies_live_, admitted, width);
+  PutCounters(requests, hedges_used_, admitted, width);
 
   writer.AddSection("latencies").PutF64Vector(latencies_);
   return writer.Serialize();
@@ -751,8 +815,10 @@ void FaultedServingEngine::Restore(const std::string& snapshot) {
   }
   gpus.ExpectEnd();
 
-  const std::size_t trace_size = arrivals_.size();
-  const auto take_pending = [trace_size](SnapshotSectionReader& r) {
+  // Only admitted requests can be queued, and only they carry per-request
+  // state in the "requests" section below.
+  const auto admitted_ids = static_cast<std::size_t>(next_arrival);
+  const auto take_pending = [admitted_ids](SnapshotSectionReader& r) {
     Pending p;
     p.ready = r.TakeF64();
     p.arrival = r.TakeF64();
@@ -762,9 +828,9 @@ void FaultedServingEngine::Restore(const std::string& snapshot) {
                  attempts);
     p.attempts = static_cast<int>(attempts);
     p.id = r.TakeI64();
-    CCPERF_CHECK(p.id >= 0 && static_cast<std::size_t>(p.id) < trace_size,
+    CCPERF_CHECK(p.id >= 0 && static_cast<std::size_t>(p.id) < admitted_ids,
                  "corrupt serving snapshot: request id ", p.id,
-                 " outside trace of ", trace_size);
+                 " outside the ", admitted_ids, " admitted");
     return p;
   };
   // A request can have at most replicas + max_hedges live copies.
@@ -824,40 +890,34 @@ void FaultedServingEngine::Restore(const std::string& snapshot) {
                    std::isfinite(new_report.duplicate_service_s),
                "corrupt serving snapshot: bad duplicate service time");
 
-  SnapshotSectionReader redundancy = reader.Section("redundancy");
-  const std::uint64_t request_count = redundancy.TakeU64();
-  CCPERF_CHECK(request_count == arrivals_.size(),
-               "corrupt serving snapshot: redundancy state for ",
-               request_count, " requests, trace has ", arrivals_.size());
-  std::vector<std::uint8_t> new_done(arrivals_.size());
-  for (std::uint8_t& d : new_done) {
-    d = redundancy.TakeU8();
-    CCPERF_CHECK(d <= 1, "corrupt serving snapshot: done flag ",
-                 static_cast<int>(d));
-  }
-  const std::vector<std::int64_t> wide_live = redundancy.TakeI64Vector();
-  const std::vector<std::int64_t> wide_hedges = redundancy.TakeI64Vector();
-  redundancy.ExpectEnd();
-  CCPERF_CHECK(wide_live.size() == arrivals_.size() &&
-                   wide_hedges.size() == arrivals_.size(),
-               "corrupt serving snapshot: redundancy vector sizes ",
-               wide_live.size(), "/", wide_hedges.size(), " for trace of ",
-               arrivals_.size());
+  SnapshotSectionReader requests = reader.Section("requests");
+  const std::uint64_t admitted = requests.TakeU64();
+  CCPERF_CHECK(admitted == next_arrival,
+               "corrupt serving snapshot: per-request state for ", admitted,
+               " requests, ", next_arrival, " admitted");
+  const std::size_t n = static_cast<std::size_t>(admitted);
   const std::int64_t per_request_limit =
       static_cast<std::int64_t>(redundancy_.replicas) + redundancy_.max_hedges;
-  std::vector<std::int32_t> new_live(arrivals_.size());
-  std::vector<std::int32_t> new_hedges(arrivals_.size());
-  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
-    CCPERF_CHECK(wide_live[i] >= 0 && wide_live[i] <= per_request_limit,
-                 "corrupt serving snapshot: live copy count ", wide_live[i],
-                 " outside [0, ", per_request_limit, "]");
-    CCPERF_CHECK(wide_hedges[i] >= 0 &&
-                     wide_hedges[i] <= redundancy_.max_hedges,
-                 "corrupt serving snapshot: hedge count ", wide_hedges[i],
-                 " exceeds policy limit ", redundancy_.max_hedges);
-    new_live[i] = static_cast<std::int32_t>(wide_live[i]);
-    new_hedges[i] = static_cast<std::int32_t>(wide_hedges[i]);
+  const std::uint8_t width = requests.TakeU8();
+  CCPERF_CHECK(width == CounterWidth(per_request_limit),
+               "corrupt serving snapshot: counter width ",
+               static_cast<int>(width));
+  std::vector<std::uint8_t> new_done(arrivals_.size(), 0);
+  const std::string_view bits = requests.TakeBytes((n + 7) / 8);
+  for (std::size_t i = 0; i < n; ++i) {
+    new_done[i] = static_cast<std::uint8_t>(
+        (static_cast<unsigned char>(bits[i >> 3]) >> (i & 7)) & 1u);
   }
+  CCPERF_CHECK(n % 8 == 0 ||
+                   (static_cast<unsigned char>(bits.back()) >> (n % 8)) == 0,
+               "corrupt serving snapshot: done-bitset padding bits set");
+  std::vector<std::int32_t> new_live(arrivals_.size(), 0);
+  std::vector<std::int32_t> new_hedges(arrivals_.size(), 0);
+  TakeCounters(requests, n, width, per_request_limit, "live copy count",
+               new_live);
+  TakeCounters(requests, n, width, redundancy_.max_hedges, "hedge count",
+               new_hedges);
+  requests.ExpectEnd();
 
   SnapshotSectionReader lat = reader.Section("latencies");
   std::vector<double> new_latencies = lat.TakeF64Vector();

@@ -1,6 +1,7 @@
 #include "common/snapshot.h"
 
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -11,6 +12,11 @@
 #endif
 
 #include "common/check.h"
+
+// The container promises little-endian fields, and the writer and reader
+// copy scalars and whole vectors in host byte order.
+static_assert(std::endian::native == std::endian::little,
+              "ccperf snapshots assume a little-endian host");
 
 namespace ccperf {
 
@@ -25,16 +31,35 @@ constexpr std::uint64_t kMaxSectionBytes = 1ull << 31;
 constexpr std::size_t kMaxSections = 1024;
 constexpr std::size_t kMaxVectorElements = 1u << 28;
 
-std::array<std::uint32_t, 256> BuildCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-16 tables: kCrcTables[0] is the classic bytewise table, and
+// kCrcTables[k][b] is the CRC state after byte b followed by k zero bytes,
+// so one step folds 16 input bytes with 16 independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+std::uint32_t LoadU32(const unsigned char* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
 template <typename T>
@@ -70,14 +95,33 @@ void FsyncParentDir(const std::string& path) {
 
 }  // namespace
 
-std::uint32_t Crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = BuildCrcTable();
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+std::uint32_t Crc32Extend(std::uint32_t crc, const void* data,
+                          std::size_t size) {
+  const CrcTables& t = kCrcTables;
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (; size >= 16; size -= 16, p += 16) {
+    // Little-endian loads: the low byte of w0 is the block's first byte,
+    // which has 15 bytes still to pass through, hence table 15.
+    const std::uint32_t w0 = LoadU32(p) ^ c;
+    const std::uint32_t w1 = LoadU32(p + 4);
+    const std::uint32_t w2 = LoadU32(p + 8);
+    const std::uint32_t w3 = LoadU32(p + 12);
+    c = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu] ^
+        t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24] ^ t[11][w1 & 0xFFu] ^
+        t[10][(w1 >> 8) & 0xFFu] ^ t[9][(w1 >> 16) & 0xFFu] ^
+        t[8][w1 >> 24] ^ t[7][w2 & 0xFFu] ^ t[6][(w2 >> 8) & 0xFFu] ^
+        t[5][(w2 >> 16) & 0xFFu] ^ t[4][w2 >> 24] ^ t[3][w3 & 0xFFu] ^
+        t[2][(w3 >> 8) & 0xFFu] ^ t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (; size > 0; --size, ++p) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t Crc32(const void* data, std::size_t size) {
+  return Crc32Extend(0, data, size);
 }
 
 std::uint32_t Crc32(const std::string& bytes) {
@@ -111,13 +155,17 @@ void SnapshotSectionWriter::PutString(const std::string& s) {
 
 void SnapshotSectionWriter::PutF64Vector(const std::vector<double>& v) {
   PutPod(static_cast<std::uint64_t>(v.size()));
-  for (double d : v) PutF64(d);
+  PutBytes(v.data(), v.size() * sizeof(double));
 }
 
 void SnapshotSectionWriter::PutI64Vector(
     const std::vector<std::int64_t>& v) {
   PutPod(static_cast<std::uint64_t>(v.size()));
-  for (std::int64_t i : v) PutPod(i);
+  PutBytes(v.data(), v.size() * sizeof(std::int64_t));
+}
+
+void SnapshotSectionWriter::PutBytes(const void* data, std::size_t size) {
+  bytes_.append(static_cast<const char*>(data), size);
 }
 
 SnapshotWriter::SnapshotWriter(std::uint32_t app_tag) : app_tag_(app_tag) {}
@@ -133,26 +181,35 @@ SnapshotSectionWriter& SnapshotWriter::AddSection(const std::string& name) {
 }
 
 std::string SnapshotWriter::Serialize() const {
+  std::size_t total = sizeof(kMagic) + 4 * sizeof(std::uint32_t) +
+                      sizeof(kFooter);
+  for (const auto& [name, section] : sections_) {
+    total += sizeof(std::uint16_t) + name.size() + sizeof(std::uint64_t) +
+             sizeof(std::uint32_t) + section.Bytes().size();
+  }
   std::string out;
+  out.reserve(total);
   out.append(kMagic, sizeof(kMagic));
-  std::string header;
-  AppendPod<std::uint32_t>(header, kFormatVersion);
-  AppendPod<std::uint32_t>(header, app_tag_);
-  AppendPod<std::uint32_t>(header, static_cast<std::uint32_t>(sections_.size()));
-  out.append(header);
-  AppendPod<std::uint32_t>(out, Crc32(header));
+  const std::size_t header_start = out.size();
+  AppendPod<std::uint32_t>(out, kFormatVersion);
+  AppendPod<std::uint32_t>(out, app_tag_);
+  AppendPod<std::uint32_t>(out, static_cast<std::uint32_t>(sections_.size()));
+  AppendPod<std::uint32_t>(
+      out, Crc32(out.data() + header_start, out.size() - header_start));
   for (const auto& [name, section] : sections_) {
     // The CRC covers the section's frame fields (name length, name,
     // payload size) as well as the payload, so a flipped bit anywhere in
     // the section is caught, not just inside the payload.
-    std::string frame;
-    AppendPod<std::uint16_t>(frame, static_cast<std::uint16_t>(name.size()));
-    frame.append(name);
-    AppendPod<std::uint64_t>(
-        frame, static_cast<std::uint64_t>(section.Bytes().size()));
-    out.append(frame);
-    AppendPod<std::uint32_t>(out, Crc32(frame + section.Bytes()));
-    out.append(section.Bytes());
+    const std::string& payload = section.Bytes();
+    const std::size_t frame_start = out.size();
+    AppendPod<std::uint16_t>(out, static_cast<std::uint16_t>(name.size()));
+    out.append(name);
+    AppendPod<std::uint64_t>(out, static_cast<std::uint64_t>(payload.size()));
+    const std::uint32_t frame_crc =
+        Crc32(out.data() + frame_start, out.size() - frame_start);
+    AppendPod<std::uint32_t>(
+        out, Crc32Extend(frame_crc, payload.data(), payload.size()));
+    out.append(payload);
   }
   out.append(kFooter, sizeof(kFooter));
   return out;
@@ -227,31 +284,33 @@ double SnapshotSectionReader::TakeF64() {
 }
 
 std::string SnapshotSectionReader::TakeString() {
-  const auto size = TakePod<std::uint16_t>();
+  return std::string(TakeBytes(TakePod<std::uint16_t>()));
+}
+
+std::string_view SnapshotSectionReader::TakeBytes(std::size_t size) {
   Require(size);
-  std::string s = payload_.substr(offset_, size);
+  const std::string_view bytes = payload_.substr(offset_, size);
   offset_ += size;
-  return s;
+  return bytes;
+}
+
+template <typename T>
+std::vector<T> SnapshotSectionReader::TakeVector() {
+  const auto count = TakePod<std::uint64_t>();
+  CCPERF_CHECK(count <= kMaxVectorElements && count * sizeof(T) <= Remaining(),
+               "corrupt snapshot: implausible vector length ", count);
+  std::vector<T> v(static_cast<std::size_t>(count));
+  const std::string_view bytes = TakeBytes(v.size() * sizeof(T));
+  if (!v.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
+  return v;
 }
 
 std::vector<double> SnapshotSectionReader::TakeF64Vector() {
-  const auto count = TakePod<std::uint64_t>();
-  CCPERF_CHECK(count <= kMaxVectorElements && count * 8 <= Remaining(),
-               "corrupt snapshot: implausible vector length ", count);
-  std::vector<double> v;
-  v.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) v.push_back(TakeF64());
-  return v;
+  return TakeVector<double>();
 }
 
 std::vector<std::int64_t> SnapshotSectionReader::TakeI64Vector() {
-  const auto count = TakePod<std::uint64_t>();
-  CCPERF_CHECK(count <= kMaxVectorElements && count * 8 <= Remaining(),
-               "corrupt snapshot: implausible vector length ", count);
-  std::vector<std::int64_t> v;
-  v.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) v.push_back(TakePod<std::int64_t>());
-  return v;
+  return TakeVector<std::int64_t>();
 }
 
 void SnapshotSectionReader::ExpectEnd() const {
@@ -269,15 +328,15 @@ bool SnapshotIntact(const std::string& bytes) {
   std::memcpy(&tag, bytes.data() + sizeof(kMagic) + sizeof(std::uint32_t),
               sizeof(tag));
   try {
-    (void)SnapshotReader::Parse(bytes, tag);
+    (void)SnapshotReader::Frames(bytes, tag);
     return true;
   } catch (const CheckError&) {
     return false;
   }
 }
 
-SnapshotReader SnapshotReader::Parse(const std::string& bytes,
-                                     std::uint32_t app_tag) {
+std::vector<SnapshotReader::Entry> SnapshotReader::Frames(
+    std::string_view bytes, std::uint32_t app_tag) {
   std::size_t offset = 0;
   const auto require = [&](std::size_t n) {
     CCPERF_CHECK(offset + n <= bytes.size() && offset + n >= n,
@@ -300,9 +359,10 @@ SnapshotReader SnapshotReader::Parse(const std::string& bytes,
   take_pod(&version);
   take_pod(&tag);
   take_pod(&section_count);
-  const std::string header = bytes.substr(header_start, offset - header_start);
+  const std::uint32_t header_actual =
+      Crc32(bytes.data() + header_start, offset - header_start);
   take_pod(&header_crc);
-  CCPERF_CHECK(header_crc == Crc32(header),
+  CCPERF_CHECK(header_crc == header_actual,
                "corrupt snapshot: header CRC mismatch");
   CCPERF_CHECK(version == kFormatVersion,
                "unsupported snapshot format version ", version);
@@ -311,28 +371,30 @@ SnapshotReader SnapshotReader::Parse(const std::string& bytes,
   CCPERF_CHECK(section_count <= kMaxSections,
                "corrupt snapshot: implausible section count ", section_count);
 
-  SnapshotReader reader;
+  std::vector<Entry> sections;
+  sections.reserve(section_count);
   for (std::uint32_t s = 0; s < section_count; ++s) {
     const std::size_t frame_start = offset;
     std::uint16_t name_len = 0;
     take_pod(&name_len);
     require(name_len);
-    std::string name = bytes.substr(offset, name_len);
+    std::string name(bytes.substr(offset, name_len));
     offset += name_len;
     std::uint64_t payload_size = 0;
     take_pod(&payload_size);
-    const std::string frame = bytes.substr(frame_start, offset - frame_start);
+    const std::uint32_t frame_crc =
+        Crc32(bytes.data() + frame_start, offset - frame_start);
     std::uint32_t section_crc = 0;
     take_pod(&section_crc);
     CCPERF_CHECK(payload_size <= kMaxSectionBytes,
                  "corrupt snapshot: implausible section size ", payload_size);
-    require(static_cast<std::size_t>(payload_size));
-    std::string payload =
-        bytes.substr(offset, static_cast<std::size_t>(payload_size));
-    offset += static_cast<std::size_t>(payload_size);
-    CCPERF_CHECK(section_crc == Crc32(frame + payload),
-                 "corrupt snapshot: section '", name, "' CRC mismatch");
-    reader.sections_.emplace_back(std::move(name), std::move(payload));
+    const auto size = static_cast<std::size_t>(payload_size);
+    require(size);
+    CCPERF_CHECK(
+        section_crc == Crc32Extend(frame_crc, bytes.data() + offset, size),
+        "corrupt snapshot: section '", name, "' CRC mismatch");
+    sections.push_back({std::move(name), offset, size});
+    offset += size;
   }
   require(sizeof(kFooter));
   CCPERF_CHECK(
@@ -342,6 +404,14 @@ SnapshotReader SnapshotReader::Parse(const std::string& bytes,
   CCPERF_CHECK(offset == bytes.size(),
                "corrupt snapshot: ", bytes.size() - offset,
                " trailing bytes after footer");
+  return sections;
+}
+
+SnapshotReader SnapshotReader::Parse(std::string bytes,
+                                     std::uint32_t app_tag) {
+  SnapshotReader reader;
+  reader.sections_ = Frames(bytes, app_tag);
+  reader.bytes_ = std::move(bytes);
   return reader;
 }
 
@@ -352,19 +422,22 @@ SnapshotReader SnapshotReader::FromFile(const std::string& path,
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   CCPERF_CHECK(!in.bad(), "read failed for snapshot file '", path, "'");
-  return Parse(bytes, app_tag);
+  return Parse(std::move(bytes), app_tag);
 }
 
 bool SnapshotReader::Has(const std::string& name) const {
-  for (const auto& [existing, _] : sections_) {
-    if (existing == name) return true;
+  for (const Entry& entry : sections_) {
+    if (entry.name == name) return true;
   }
   return false;
 }
 
 SnapshotSectionReader SnapshotReader::Section(const std::string& name) const {
-  for (const auto& [existing, payload] : sections_) {
-    if (existing == name) return SnapshotSectionReader(payload);
+  for (const Entry& entry : sections_) {
+    if (entry.name == name) {
+      return SnapshotSectionReader(
+          std::string_view(bytes_).substr(entry.offset, entry.size));
+    }
   }
   CCPERF_CHECK(false, "snapshot has no section '", name, "'");
 }

@@ -12,9 +12,18 @@
 //
 // Every multi-byte field is little-endian; doubles are stored as their raw
 // IEEE-754 bit pattern so a restored state is *bitwise* identical to the
-// captured one. The reader validates magic, version, app tag, bounds and
-// per-section CRCs and throws CheckError on any violation — a corrupted or
-// truncated snapshot can never restore garbage state.
+// captured one. Fields and whole vectors are copied in host byte order, so
+// the library builds only on little-endian hosts (a static_assert in
+// snapshot.cpp enforces it). The reader validates magic, version, app tag,
+// bounds and per-section CRCs and throws CheckError on any violation — a
+// corrupted or truncated snapshot can never restore garbage state.
+//
+// The CRC is IEEE 802.3 CRC-32 (reflected polynomial 0xEDB88320, the
+// zlib/PNG checksum), computed slice-by-16: sixteen 256-entry tables fold
+// 16 input bytes per step, giving the same value as the bytewise loop.
+// SSE4.2 `crc32` is not used: it computes CRC-32C, a different checksum.
+// A section's CRC is extended from its frame fields into its payload, so
+// neither side builds a frame + payload copy.
 //
 // WriteSnapshotFileAtomic writes to "<path>.tmp" and renames over <path>,
 // so a crash mid-checkpoint leaves the previous good snapshot intact.
@@ -22,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,6 +40,11 @@ namespace ccperf {
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `size` bytes.
 std::uint32_t Crc32(const void* data, std::size_t size);
 std::uint32_t Crc32(const std::string& bytes);
+/// CRC-32 of the concatenation A + B, given `crc` = Crc32(A) and B's
+/// bytes: Crc32Extend(Crc32(a), b) == Crc32(a + b), and Crc32Extend(0, ...)
+/// == Crc32(...). The zlib `crc32(crc, buf, len)` convention.
+std::uint32_t Crc32Extend(std::uint32_t crc, const void* data,
+                          std::size_t size);
 
 /// Structural integrity verdict for snapshot bytes of ANY app tag: magic,
 /// version, header CRC, framing bounds, every section CRC and the footer.
@@ -50,8 +65,11 @@ class SnapshotSectionWriter {
   /// Raw bit pattern — round-trips NaN/inf/-0.0 exactly.
   void PutF64(double v);
   void PutString(const std::string& s);
+  /// u64 element count, then the elements as one block of raw bits.
   void PutF64Vector(const std::vector<double>& v);
   void PutI64Vector(const std::vector<std::int64_t>& v);
+  /// Raw bytes, no length prefix: the reader must know the size.
+  void PutBytes(const void* data, std::size_t size);
 
   [[nodiscard]] const std::string& Bytes() const { return bytes_; }
 
@@ -88,11 +106,12 @@ void WriteSnapshotFileAtomic(const std::string& path,
                              const SnapshotWriter& snapshot);
 
 /// Bounds-checked typed reads from one section's payload. Reading past the
-/// end throws CheckError.
+/// end throws CheckError. The reader borrows the payload: it must not
+/// outlive the bytes (for Section(), the SnapshotReader) it views.
 class SnapshotSectionReader {
  public:
-  explicit SnapshotSectionReader(std::string payload)
-      : payload_(std::move(payload)) {}
+  explicit SnapshotSectionReader(std::string_view payload)
+      : payload_(payload) {}
 
   std::uint8_t TakeU8() { return TakePod<std::uint8_t>(); }
   std::uint32_t TakeU32() { return TakePod<std::uint32_t>(); }
@@ -103,6 +122,8 @@ class SnapshotSectionReader {
   std::string TakeString();
   std::vector<double> TakeF64Vector();
   std::vector<std::int64_t> TakeI64Vector();
+  /// The next `size` raw bytes, as a view into the payload.
+  std::string_view TakeBytes(std::size_t size);
 
   [[nodiscard]] std::size_t Remaining() const {
     return payload_.size() - offset_;
@@ -114,32 +135,47 @@ class SnapshotSectionReader {
  private:
   template <typename T>
   T TakePod();
+  template <typename T>
+  std::vector<T> TakeVector();
   void Require(std::size_t bytes) const;
 
-  std::string payload_;
+  std::string_view payload_;
   std::size_t offset_ = 0;
 };
 
-/// Parses and validates a serialized snapshot.
+/// Parses and validates a serialized snapshot. The reader owns the bytes
+/// (moved in, or one copy) and hands out section views into them.
 class SnapshotReader {
  public:
   /// Throws CheckError on bad magic/version/tag, truncation, or CRC
   /// mismatch in any section.
-  static SnapshotReader Parse(const std::string& bytes,
-                              std::uint32_t app_tag);
+  static SnapshotReader Parse(std::string bytes, std::uint32_t app_tag);
   /// Load + parse a snapshot file; missing/unreadable paths throw
   /// CheckError naming the path.
   static SnapshotReader FromFile(const std::string& path,
                                  std::uint32_t app_tag);
 
   [[nodiscard]] bool Has(const std::string& name) const;
-  /// Section payload by name; throws CheckError when absent.
+  /// Section payload by name, viewed in place; throws CheckError when
+  /// absent. The returned reader must not outlive this one.
   [[nodiscard]] SnapshotSectionReader Section(const std::string& name) const;
   [[nodiscard]] std::size_t SectionCount() const { return sections_.size(); }
 
  private:
+  /// One validated section: its name and the payload's place in bytes_.
+  struct Entry {
+    std::string name;
+    std::size_t offset = 0;
+    std::size_t size = 0;
+  };
+  friend bool SnapshotIntact(const std::string& bytes);
+  /// Validates the whole container in place and locates every section.
+  static std::vector<Entry> Frames(std::string_view bytes,
+                                   std::uint32_t app_tag);
+
   SnapshotReader() = default;
-  std::vector<std::pair<std::string, std::string>> sections_;
+  std::string bytes_;
+  std::vector<Entry> sections_;
 };
 
 }  // namespace ccperf

@@ -96,7 +96,9 @@ Line ParseLine(const std::string& raw, int number) {
       // Bare tokens after `input` are extra dims; keep them as keys d2/d3.
       CCPERF_CHECK(line.directive == "input", "line ", number,
                    ": expected key=value, got '", tokens[i], "'");
-      line.keys["d" + std::to_string(i)] = tokens[i];
+      std::string key = "d";  // appended, not "d" + ...: GCC 12 -Wrestrict
+      key += std::to_string(i);
+      line.keys[key] = tokens[i];
       continue;
     }
     const std::string key = tokens[i].substr(0, eq);

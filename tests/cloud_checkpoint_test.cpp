@@ -9,13 +9,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <thread>
+#include <utility>
 
 #include "cloud/autoscaler.h"
 #include "cloud/density.h"
 #include "cloud/serving.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/snapshot.h"
 
 namespace ccperf::cloud {
 namespace {
@@ -605,6 +609,159 @@ TEST_F(CheckpointTest, SpotEstimateIsContinuousAtZeroRisk) {
                       RatePerHour(0.5));
   EXPECT_GT(risky.expected_seconds, near_zero.expected_seconds);
   EXPECT_GT(risky.expected_spot_cost_usd, near_zero.expected_spot_cost_usd);
+}
+
+// ------------------------------------------------- compact engine state
+
+// A hedged run whose requests carry live-copy and hedge counters.
+class CompactSnapshotTest : public CheckpointTest {
+ protected:
+  static constexpr double kDuration = 120.0;
+  static constexpr RedundancyPolicy kHedge{
+      .replicas = 1, .hedge_after_s = 0.2, .max_hedges = 2};
+
+  FaultedServingEngine Engine(const std::vector<double>& trace,
+                              const RedundancyPolicy& redundancy = kHedge) {
+    return FaultedServingEngine(
+        serving_, Fleet(2), perf_, trace, kDuration,
+        {.max_batch = 16, .max_wait_s = 0.02, .deadline_s = 1.5},
+        {.max_retries = 3}, CrashStorm(2, kDuration, 19),
+        InflightPolicy::kRequeue, 1.0, redundancy);
+  }
+};
+
+std::uint32_t TagOf(const std::string& snapshot) {
+  std::uint32_t tag = 0;
+  std::memcpy(&tag, snapshot.data() + 8, sizeof(tag));
+  return tag;
+}
+
+/// The snapshot rebuilt with every section copied, except that `mutate`
+/// edits the payload of section `target`; all CRCs are recomputed, so a
+/// rejection comes from Restore's schema checks, not the container's.
+std::string Reframe(const std::string& snapshot, const std::string& target,
+                    const std::function<void(std::string&)>& mutate) {
+  const SnapshotReader reader = SnapshotReader::Parse(snapshot, TagOf(snapshot));
+  SnapshotWriter writer(TagOf(snapshot));
+  for (const char* name :
+       {"meta", "gpus", "queue", "report", "requests", "latencies"}) {
+    SnapshotSectionReader section = reader.Section(name);
+    std::string payload(section.TakeBytes(section.Remaining()));
+    if (name == target) mutate(payload);
+    writer.AddSection(name).PutBytes(payload.data(), payload.size());
+  }
+  EXPECT_EQ(reader.SectionCount(), 6u) << "serving snapshot layout changed";
+  return writer.Serialize();
+}
+
+/// The u64 that opens a section: the admitted count of "requests", the
+/// waiting-queue length of "queue".
+std::uint64_t LeadingU64(const std::string& snapshot, const char* section) {
+  const SnapshotReader reader = SnapshotReader::Parse(snapshot, TagOf(snapshot));
+  return reader.Section(section).TakeU64();
+}
+
+TEST_F(CompactSnapshotTest, SnapshotBytesPerRequestStayCompact) {
+  // Per request the state is a done bit, two one-byte counters and one
+  // 8-byte latency sample: ~10.1 bytes. The int64-widened encoding took 25.
+  const auto trace = PoissonTrace(30.0, kDuration, 23);
+  FaultedServingEngine engine = Engine(trace);
+  while (!engine.Done()) engine.Step();
+  const ServingReport report = engine.Finish();
+  ASSERT_GT(report.hedges, 0) << "scenario must exercise hedging";
+  ASSERT_GT(report.completed, static_cast<std::int64_t>(trace.size() / 2));
+  const std::string snapshot = engine.Checkpoint();
+  EXPECT_LE(snapshot.size(), 11 * trace.size() + 1024)
+      << snapshot.size() << " bytes for " << trace.size() << " requests";
+
+  FaultedServingEngine resumed = Engine(trace);
+  resumed.Restore(snapshot);
+  ExpectReportsIdentical(resumed.Finish(), report);
+}
+
+TEST_F(CompactSnapshotTest, RestoreRejectsOutOfRangeRequestState) {
+  const auto trace = PoissonTrace(30.0, kDuration, 23);
+  FaultedServingEngine engine = Engine(trace);
+  // Stop where the done bitset has padding bits in its last byte and a
+  // request is waiting.
+  std::string snapshot = engine.Checkpoint();
+  while (!engine.Done() && (engine.Watermark() < 20.0 ||
+                            LeadingU64(snapshot, "requests") % 8 == 0 ||
+                            LeadingU64(snapshot, "queue") == 0)) {
+    engine.Step();
+    snapshot = engine.Checkpoint();
+  }
+  const std::uint64_t n = LeadingU64(snapshot, "requests");
+  ASSERT_NE(n % 8, 0u);
+  ASSERT_GT(LeadingU64(snapshot, "queue"), 0u);
+  const std::size_t bitset = 8 + 1;  // after the u64 count and u8 width
+  const std::size_t live = bitset + (n + 7) / 8;
+  const std::size_t hedges = live + n;
+
+  {
+    FaultedServingEngine same = Engine(trace);
+    EXPECT_NO_THROW(
+        same.Restore(Reframe(snapshot, "requests", [](std::string&) {})))
+        << "an unmodified re-frame must restore";
+  }
+  const auto expect_rejected = [&](const std::function<void(std::string&)>& m,
+                                   const std::string& reason,
+                                   const std::string& section = "requests") {
+    FaultedServingEngine target = Engine(trace);
+    try {
+      target.Restore(Reframe(snapshot, section, m));
+      ADD_FAILURE() << "accepted: " << reason;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(
+      [&](std::string& p) {
+        p[live - 1] = static_cast<char>(p[live - 1] | 0x80);
+      },
+      "padding bits");
+  expect_rejected([&](std::string& p) { p[live] = static_cast<char>(0xFF); },
+                  "live copy count");
+  // 3 fits the live-copy limit (replicas + max_hedges) but not max_hedges.
+  expect_rejected([&](std::string& p) { p[hedges] = 3; }, "hedge count");
+  expect_rejected([&](std::string& p) { p[bitset - 1] = 2; },
+                  "counter width");
+  expect_rejected([&](std::string& p) { p[0] ^= 1; }, "admitted");
+  // The first waiting copy (u64 count, then ready, arrival, attempts, id)
+  // names a request that is in the trace but not yet admitted.
+  expect_rejected(
+      [&](std::string& p) {
+        const auto id = static_cast<std::int64_t>(n);
+        std::memcpy(p.data() + 8 + 3 * 8, &id, sizeof(id));
+      },
+      "admitted", "queue");
+}
+
+TEST_F(CompactSnapshotTest, WideCountersRoundTrip) {
+  // replicas + max_hedges picks the counter width: 1 byte up to 255, then
+  // 2 bytes up to 65535, then 4. Every width resumes bitwise.
+  const auto trace = PoissonTrace(30.0, kDuration, 23);
+  for (const auto& [max_hedges, width] :
+       {std::pair{254, 1}, std::pair{255, 2}, std::pair{70000, 4}}) {
+    const RedundancyPolicy policy{
+        .replicas = 1, .hedge_after_s = 0.2, .max_hedges = max_hedges};
+    FaultedServingEngine engine = Engine(trace, policy);
+    while (!engine.Done() && engine.Watermark() < 30.0) engine.Step();
+    const std::string snapshot = engine.Checkpoint();
+    std::uint8_t stored = 0;
+    (void)Reframe(snapshot, "requests",
+                  [&](std::string& p) { stored = static_cast<std::uint8_t>(p[8]); });
+    EXPECT_EQ(stored, width) << "max_hedges " << max_hedges;
+    while (!engine.Done()) engine.Step();
+    const ServingReport reference = engine.Finish();
+    EXPECT_GT(reference.hedges, 0);
+
+    FaultedServingEngine resumed = Engine(trace, policy);
+    resumed.Restore(snapshot);
+    while (!resumed.Done()) resumed.Step();
+    ExpectReportsIdentical(resumed.Finish(), reference);
+  }
 }
 
 TEST_F(CheckpointTest, VaultScrubCatchesEveryByteFlip) {

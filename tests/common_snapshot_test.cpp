@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <vector>
 
 #include "common/check.h"
 
@@ -43,6 +44,59 @@ TEST(Crc32Test, MatchesKnownVectors) {
   EXPECT_EQ(Crc32(std::string("123456789")), 0xCBF43926u);
   EXPECT_EQ(Crc32(std::string("")), 0u);
   EXPECT_NE(Crc32(std::string("a")), Crc32(std::string("b")));
+}
+
+// Bytewise reference CRC-32 (reflected 0xEDB88320), one shift-and-xor per
+// bit: the definition the sliced implementation must reproduce exactly.
+std::uint32_t ReferenceCrc32(const unsigned char* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> RandomBytes(std::size_t size, std::uint64_t seed) {
+  std::vector<unsigned char> bytes(size);
+  std::uint64_t x = seed;
+  for (unsigned char& b : bytes) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(x >> 56);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0..1024 at start offsets 0..7 covers the bytewise head and
+  // tail around each 16-byte block and unaligned word loads.
+  const std::vector<unsigned char> buffer = RandomBytes(1024 + 8, 0xC3C3);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(Crc32(buffer.data() + start, len),
+                ReferenceCrc32(buffer.data() + start, len))
+          << "start " << start << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ExtendAtEverySplitEqualsOneShot) {
+  const std::vector<unsigned char> buffer = RandomBytes(301, 0x5EED);
+  const std::uint32_t whole = Crc32(buffer.data(), buffer.size());
+  for (std::size_t split = 0; split <= buffer.size(); ++split) {
+    const std::uint32_t head = Crc32(buffer.data(), split);
+    ASSERT_EQ(Crc32Extend(head, buffer.data() + split, buffer.size() - split),
+              whole)
+        << "split at " << split;
+  }
+  // Three-way split, and Extend from 0 is the plain CRC.
+  const std::uint32_t first = Crc32(buffer.data(), 17);
+  const std::uint32_t second = Crc32Extend(first, buffer.data() + 17, 100);
+  EXPECT_EQ(Crc32Extend(second, buffer.data() + 117, buffer.size() - 117),
+            whole);
+  EXPECT_EQ(Crc32Extend(0, buffer.data(), buffer.size()), whole);
 }
 
 TEST(SnapshotTest, RoundTripsEveryFieldBitwise) {
@@ -126,6 +180,21 @@ TEST(SnapshotTest, SectionReaderBoundsChecks) {
   EXPECT_EQ(section.TakeU32(), 5u);
   EXPECT_THROW((void)section.TakeU32(), CheckError) << "read past end";
   EXPECT_THROW((void)reader.Section("missing"), CheckError);
+}
+
+TEST(SnapshotTest, RawBytesRoundTripAsViews) {
+  SnapshotWriter writer(kTag);
+  SnapshotSectionWriter& raw = writer.AddSection("raw");
+  raw.PutBytes("abc", 3);
+  raw.PutBytes(nullptr, 0);
+  raw.PutI64Vector({});
+  const SnapshotReader reader = SnapshotReader::Parse(writer.Serialize(), kTag);
+  SnapshotSectionReader section = reader.Section("raw");
+  EXPECT_EQ(section.TakeBytes(3), "abc");
+  EXPECT_EQ(section.TakeBytes(0), "");
+  EXPECT_TRUE(section.TakeI64Vector().empty());
+  EXPECT_THROW((void)section.TakeBytes(1), CheckError) << "read past end";
+  EXPECT_NO_THROW(section.ExpectEnd());
 }
 
 TEST(SnapshotTest, DuplicateSectionNamesAreRejected) {
